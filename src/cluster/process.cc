@@ -66,11 +66,14 @@ void Process::RestoreKernel(const KernelState& state) {
 
 sim::EventId Process::After(sim::Duration delay, std::function<void()> fn) {
   const uint64_t epoch = epoch_;
-  return simulator_->Schedule(delay, [this, epoch, fn = std::move(fn)]() {
+  auto timer = [this, epoch, fn = std::move(fn)]() {
     if (!crashed_ && epoch_ == epoch) {
       fn();
     }
-  });
+  };
+  static_assert(sim::EventFn::kStoresInline<decltype(timer)>,
+                "the timer closure must not allocate per event");
+  return simulator_->Schedule(delay, std::move(timer));
 }
 
 void Process::Every(sim::Duration period, std::function<void()> fn) {
@@ -78,13 +81,18 @@ void Process::Every(sim::Duration period, std::function<void()> fn) {
 }
 
 void Process::ScheduleTick(uint64_t epoch, sim::Duration period, std::function<void()> fn) {
-  simulator_->Schedule(period, [this, epoch, period, fn = std::move(fn)]() mutable {
+  // Each tick hands its `fn` on to the next one; retention keeps its own
+  // copy of every tick closure, so a retained tick still holds `fn`.
+  auto tick = [this, epoch, period, fn = std::move(fn)]() mutable {
     if (crashed_ || epoch_ != epoch) {
       return;
     }
     fn();
     ScheduleTick(epoch, period, std::move(fn));
-  });
+  };
+  static_assert(sim::EventFn::kStoresInline<decltype(tick)>,
+                "the tick closure must not allocate per event");
+  simulator_->Schedule(period, std::move(tick));
 }
 
 void Process::TraceEvent(const std::string& event, const std::string& detail) const {

@@ -1,5 +1,6 @@
 #include "net/network.h"
 
+#include <cassert>
 #include <string>
 
 namespace net {
@@ -12,21 +13,23 @@ std::string LinkString(NodeId src, NodeId dst) {
 }  // namespace
 
 void Network::Register(NodeId node, Handler handler) {
+  assert(node >= 0 && "NodeIds index the handler table");
   connectivity_.AddNode(node);
-  if (handler) {
-    handlers_[node] = std::move(handler);
-  } else {
-    // Crashed node: stays in the universe (and the connectivity cache) with
-    // no handler; deliveries to it count as "no receiver" drops.
-    handlers_[node] = nullptr;
+  const auto index = static_cast<size_t>(node);
+  if (index >= handlers_.size()) {
+    handlers_.resize(index + 1);
   }
+  // A null handler marks a crashed node: it stays in the universe (the
+  // connectivity cache), and deliveries to it count as "no receiver" drops.
+  handlers_[index] = std::move(handler);
 }
 
 Group Network::Universe() const {
   Group out;
-  out.reserve(handlers_.size());
-  for (const auto& [node, handler] : handlers_) {
-    out.push_back(node);
+  for (NodeId node = 0; static_cast<size_t>(node) < handlers_.size(); ++node) {
+    if (connectivity_.Tracks(node)) {
+      out.push_back(node);
+    }
   }
   return out;
 }
@@ -81,9 +84,12 @@ void Network::Send(NodeId src, NodeId dst, std::shared_ptr<const Message> msg) {
 }
 
 void Network::ScheduleDelivery(Envelope envelope, sim::Duration delay) {
-  simulator_->Schedule(delay, [this, envelope = std::move(envelope)]() mutable {
+  auto deliver = [this, envelope = std::move(envelope)]() mutable {
     Deliver(std::move(envelope));
-  });
+  };
+  static_assert(sim::EventFn::kStoresInline<decltype(deliver)>,
+                "the delivery closure must not allocate per message");
+  simulator_->Schedule(delay, std::move(deliver));
 }
 
 FaultRuleId Network::AddFaultRule(const FaultRule& rule) {
@@ -185,8 +191,8 @@ void Network::Deliver(Envelope envelope) {
                                envelope.send_record);
     return;
   }
-  auto it = handlers_.find(envelope.dst);
-  if (it == handlers_.end() || !it->second) {
+  const auto dst = static_cast<size_t>(envelope.dst);
+  if (envelope.dst < 0 || dst >= handlers_.size() || !handlers_[dst]) {
     ++messages_dropped_;
     simulator_->Trace().Append(simulator_->Now(), "net", "drop",
                                LinkString(envelope.src, envelope.dst) + " " +
@@ -194,6 +200,9 @@ void Network::Deliver(Envelope envelope) {
                                envelope.send_record);
     return;
   }
+  // Run a copy: the handler may crash its own node (resetting its entry) or
+  // register a higher NodeId (reallocating the table) while it runs.
+  const Handler handler = handlers_[dst];
   ++messages_delivered_;
   if (simulator_->Trace().causal()) {
     // Stamp the send->deliver edge, then run the handler under a cause
@@ -204,10 +213,10 @@ void Network::Deliver(Envelope envelope) {
         LinkString(envelope.src, envelope.dst) + " " + envelope.msg->TypeName(),
         envelope.send_record);
     sim::CauseScope scope(simulator_->Trace(), deliver_record);
-    it->second(envelope);
+    handler(envelope);
     return;
   }
-  it->second(envelope);
+  handler(envelope);
 }
 
 }  // namespace net

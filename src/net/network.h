@@ -10,6 +10,14 @@
 // nodes, so the per-packet cost is O(1) no matter how many rules a test has
 // installed; the backends keep the cache coherent on every Block/Unblock.
 //
+// Handlers live in a vector indexed by NodeId (ids are small: servers count
+// from 1, clients from 101), so a delivery finds its receiver with one
+// bounds check and one index. The universe is the set of ids the
+// connectivity cache tracks, since Register adds every id to it and a
+// crashed node keeps its place there with a null handler. The delivery
+// closure (envelope plus the network pointer) fits sim::EventFn's inline
+// storage, so a message in flight costs the simulator no allocation.
+//
 // All network randomness (link-loss draws, latency jitter) comes from a
 // dedicated RNG substream forked from the simulator's seed at construction,
 // so toggling jitter or flakiness never perturbs the random decisions the
@@ -23,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "net/connectivity.h"
 #include "net/message.h"
@@ -77,15 +86,17 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // Attaches a process. Re-registering a NodeId replaces its handler (used
-  // by restart).
+  // Attaches a process under a non-negative NodeId. Re-registering a NodeId
+  // replaces its handler (used by restart). A handler may register or
+  // detach nodes, its own included, while it runs.
   //
   // Crashed-node semantics: passing a null handler detaches the process but
   // keeps the node in Universe() — a crashed host is still a host, with an
   // address, firewall chains, and switch ports; it just answers nothing.
   // Messages to it still traverse the partition rules and latency model and
   // are dropped at delivery time, counted as "no receiver" drops (same as
-  // messages to a node that never registered).
+  // messages to a node that never registered, or to an id outside the
+  // handler table).
   void Register(NodeId node, Handler handler);
 
   // Sends a message. The message is dropped when the partition backend
@@ -198,8 +209,9 @@ class Network {
   ConnectivityCache connectivity_;
   sim::Rng rng_;  // network-private substream: loss + jitter draws only
   LatencyModel latency_;
+  // Indexed by NodeId; null for crashed and never-registered ids.
   // detlint: allow(snapshot-field): delivery closures are re-registered by Process::RestoreKernel, not value-copied
-  std::map<NodeId, Handler> handlers_;
+  std::vector<Handler> handlers_;
   std::map<std::pair<NodeId, NodeId>, double> link_loss_;
   uint64_t messages_sent_ = 0;
   uint64_t messages_delivered_ = 0;

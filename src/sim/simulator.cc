@@ -8,35 +8,55 @@ namespace sim {
 
 Simulator::Simulator(uint64_t seed) : rng_(seed) {}
 
-EventId Simulator::Schedule(Duration delay, std::function<void()> fn) {
+EventId Simulator::Schedule(Duration delay, EventFn fn) {
   assert(delay >= 0 && "cannot schedule in the past");
   return ScheduleAt(now_ + delay, std::move(fn));
 }
 
-EventId Simulator::ScheduleAt(Time when, std::function<void()> fn) {
+EventId Simulator::ScheduleAt(Time when, EventFn fn) {
   assert(when >= now_ && "cannot schedule in the past");
   const EventId id = next_seq_;
   ++next_seq_;
   if (retain_events_ && !retention_paused_) {
-    // Copy before the heap takes ownership: the retained closure must stay
-    // pristine even after the heap's copy runs (mutable lambdas may consume
+    // Copy before the slot takes ownership: the retained closure must stay
+    // pristine even after the slot's copy runs (mutable lambdas may consume
     // their captures when invoked).
-    retained_.emplace(id, RetainedEvent{when, fn});
+    assert(retained_.size() == id && "retained_ must be indexed by event id");
+    retained_.push_back(RetainedEvent{when, fn});
+    ++retained_count_;
   }
-  heap_.push_back(Event{when, id, std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end(), EventLater{});
-  live_.insert(id);
+  Push(when, id, std::move(fn));
   return id;
 }
 
+void Simulator::Push(Time when, uint64_t seq, EventFn fn) {
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(fn);
+  }
+  heap_.push_back(Key{when, seq, slot, false});
+  std::push_heap(heap_.begin(), heap_.end(), KeyLater{});
+}
+
 bool Simulator::Cancel(EventId id) {
-  // Lazy cancellation: the heap entry stays as a tombstone and is discarded
-  // when it reaches the top — or collectively, once tombstones outnumber
-  // the live half of the heap (cancel-heavy workloads would otherwise grow
-  // the heap without bound).
-  if (live_.erase(id) == 0) {
+  // Lazy cancellation: the key stays in the heap as a tombstone and is
+  // discarded when it reaches the top — or collectively, once tombstones
+  // outnumber the live half of the heap (cancel-heavy workloads would
+  // otherwise grow the heap without bound). The closure is released now.
+  const auto it = std::find_if(heap_.begin(), heap_.end(), [id](const Key& key) {
+    return key.seq == id && !key.cancelled;
+  });
+  if (it == heap_.end()) {
     return false;
   }
+  it->cancelled = true;
+  slots_[it->slot].Reset();
+  free_slots_.push_back(it->slot);
   ++heap_tombstones_;
   if (heap_tombstones_ * 2 > heap_.size()) {
     CompactHeap();
@@ -45,16 +65,16 @@ bool Simulator::Cancel(EventId id) {
 }
 
 void Simulator::DropCancelled() {
-  while (!heap_.empty() && live_.count(heap_.front().seq) == 0) {
-    std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
+  while (!heap_.empty() && heap_.front().cancelled) {
+    std::pop_heap(heap_.begin(), heap_.end(), KeyLater{});
     heap_.pop_back();
     --heap_tombstones_;
   }
 }
 
 void Simulator::CompactHeap() {
-  std::erase_if(heap_, [this](const Event& event) { return live_.count(event.seq) == 0; });
-  std::make_heap(heap_.begin(), heap_.end(), EventLater{});
+  std::erase_if(heap_, [](const Key& key) { return key.cancelled; });
+  std::make_heap(heap_.begin(), heap_.end(), KeyLater{});
   heap_tombstones_ = 0;
 }
 
@@ -64,17 +84,20 @@ bool Simulator::QueueEmpty() {
 }
 
 void Simulator::RunOne() {
-  std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
-  Event event = std::move(heap_.back());
+  std::pop_heap(heap_.begin(), heap_.end(), KeyLater{});
+  const Key key = heap_.back();
   heap_.pop_back();
-  live_.erase(event.seq);
-  now_ = event.when;
+  // Move the closure out before running it: the callback may schedule
+  // events, which can grow (and so reallocate) the slot array.
+  EventFn fn = std::move(slots_[key.slot]);
+  free_slots_.push_back(key.slot);
+  now_ = key.when;
   ++events_executed_;
   // Each event runs with a clean cause context: a BindCause issued inside a
   // handler (cluster/process.cc) is scoped to that event and cannot leak
   // into an unrelated timer callback.
   CauseScope scope(trace_, 0);
-  event.fn();
+  fn();
 }
 
 uint64_t Simulator::RunUntilIdle() {
@@ -102,19 +125,24 @@ uint64_t Simulator::RunFor(Duration delta) { return RunUntil(now_ + delta); }
 
 void Simulator::SetEventRetention(bool retain) {
   if (retain && (!retain_events_ || retention_paused_)) {
-    // Adopt the events already pending: heap entries are never invoked in
-    // place (RunOne moves an event out before running it), so copying them
-    // now yields the same pristine closures a schedule-time copy would.
-    // emplace never overwrites, so events retained before a pause keep
-    // their original schedule-time copies.
-    for (const Event& event : heap_) {
-      if (live_.count(event.seq) != 0) {
-        retained_.emplace(event.seq, RetainedEvent{event.when, event.fn});
+    // Ids issued while retention was off or paused get empty entries, so
+    // the vector stays indexed by id. Then adopt the events still pending:
+    // slot closures are never invoked in place (RunOne moves an event out
+    // before running it), so copying them now yields the same pristine
+    // closures a schedule-time copy would. Entries retained before a pause
+    // keep their original schedule-time copies.
+    retained_.resize(next_seq_);
+    for (const Key& key : heap_) {
+      RetainedEvent& entry = retained_[key.seq];
+      if (!key.cancelled && !entry.fn) {
+        entry = RetainedEvent{key.when, slots_[key.slot]};
+        ++retained_count_;
       }
     }
   }
   if (!retain) {
     retained_.clear();
+    retained_count_ = 0;
   }
   retain_events_ = retain;
   retention_paused_ = false;
@@ -132,7 +160,12 @@ Simulator::Checkpoint Simulator::Snapshot() const {
   checkpoint.events_executed = events_executed_;
   checkpoint.rng = rng_;
   checkpoint.trace_size = trace_.size();
-  checkpoint.live.assign(live_.begin(), live_.end());
+  checkpoint.live.reserve(pending_events());
+  for (const Key& key : heap_) {
+    if (!key.cancelled) {
+      checkpoint.live.push_back(key.seq);
+    }
+  }
   std::sort(checkpoint.live.begin(), checkpoint.live.end());
   return checkpoint;
 }
@@ -143,18 +176,21 @@ void Simulator::Restore(const Checkpoint& checkpoint) {
          "checkpoint must come from this simulator's past");
   // Purge the abandoned branch: every retained event scheduled after the
   // checkpoint. The replayed branch re-issues those ids deterministically,
-  // which also bounds the retention map at O(one branch).
-  retained_.erase(retained_.lower_bound(checkpoint.next_seq), retained_.end());
+  // which also bounds the retention vector at O(one branch).
+  assert(checkpoint.next_seq <= retained_.size() && "checkpoint taken while retention was paused");
+  retained_count_ -= static_cast<size_t>(
+      std::count_if(retained_.begin() + static_cast<ptrdiff_t>(checkpoint.next_seq),
+                    retained_.end(), [](const RetainedEvent& entry) { return bool(entry.fn); }));
+  retained_.resize(checkpoint.next_seq);
   heap_.clear();
-  live_.clear();
+  slots_.clear();
+  free_slots_.clear();
   heap_tombstones_ = 0;
   for (const EventId id : checkpoint.live) {
-    const auto it = retained_.find(id);
-    assert(it != retained_.end() && "live checkpoint event was not retained");
-    heap_.push_back(Event{it->second.when, id, it->second.fn});
-    live_.insert(id);
+    assert(id < retained_.size() && retained_[id].fn && "live checkpoint event was not retained");
+    const RetainedEvent& entry = retained_[id];
+    Push(entry.when, id, entry.fn);
   }
-  std::make_heap(heap_.begin(), heap_.end(), EventLater{});
   now_ = checkpoint.now;
   next_seq_ = checkpoint.next_seq;
   events_executed_ = checkpoint.events_executed;

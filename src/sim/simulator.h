@@ -6,34 +6,40 @@
 // seed and schedule. Events can be cancelled, which is how crashed processes
 // retract their pending timers.
 //
-// The queue is a binary min-heap ordered by (time, sequence) with lazy
-// cancellation: Cancel() just drops the event id from the live set (O(1))
-// and the tombstoned heap entry is discarded when it surfaces or when
-// tombstones outnumber half the heap (a compaction sweep keeps cancel-heavy
-// workloads from accumulating dead entries forever). This makes
-// Schedule/Cancel/pop all O(log n) or better — the previous std::map queue
-// paid rebalancing on every operation — while preserving the exact total
-// order (sequence numbers are unique, so ties cannot reorder).
+// The per-event path performs no heap allocation once the kernel's vectors
+// have grown to the workload's high-water mark:
+//   - closures live in a slot array of EventFn (sim/event_fn.h), which
+//     stores delivery- and timer-sized captures inline; freed slots are
+//     recycled through a free list;
+//   - the queue is a binary min-heap of small (when, seq, slot) keys, so
+//     sifting moves 24-byte keys and never a closure;
+//   - cancellation sets a tombstone bit on the key. Cancel finds the key by
+//     scanning the heap, which holds tens of entries while Cancel runs a
+//     few times per client operation. Tombstones are discarded when they
+//     surface, or all at once when they outnumber half the heap (cancel-
+//     heavy workloads would otherwise grow it without bound).
+// Sequence numbers are unique, so the (time, sequence) order is total and
+// ties cannot reorder however the heap is rebuilt.
 //
 // The kernel also supports checkpoint/restore (Snapshot/Restore) for the
-// NEAT fork executor: with event retention enabled, a pristine copy of each
-// scheduled closure is kept keyed by event id, so the full kernel state —
-// clock, sequence counter, RNG, trace length, and the live event set — can
-// be captured as a value and reinstated later on the *same* simulator
-// instance (closures capture pointers into the attached component graph, so
-// a checkpoint is only meaningful where those components still live and are
-// restored alongside it).
+// NEAT fork executor. With event retention enabled, a pristine copy of each
+// scheduled closure is kept in a vector indexed by event id (ids are dense
+// and monotonic), so the full kernel state — clock, sequence counter, RNG,
+// trace length, and the pending event set — can be captured as a value and
+// reinstated later on the *same* simulator instance (closures capture
+// pointers into the attached component graph, so a checkpoint is only
+// meaningful where those components still live and are restored alongside
+// it).
 
 #ifndef SIM_SIMULATOR_H_
 #define SIM_SIMULATOR_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "sim/event_fn.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 #include "sim/trace.h"
@@ -58,10 +64,10 @@ class Simulator {
   // Schedules `fn` to run `delay` microseconds from now. A zero delay runs
   // the event on the next loop iteration, after already-queued events at the
   // current time.
-  EventId Schedule(Duration delay, std::function<void()> fn);
+  EventId Schedule(Duration delay, EventFn fn);
 
   // Schedules at an absolute virtual time, which must be >= Now().
-  EventId ScheduleAt(Time when, std::function<void()> fn);
+  EventId ScheduleAt(Time when, EventFn fn);
 
   // Cancels a pending event. Returns false if the event already ran, was
   // already cancelled, or never existed.
@@ -84,7 +90,7 @@ class Simulator {
   uint64_t events_executed() const { return events_executed_; }
   // Scheduled events that are neither run nor cancelled (tombstoned heap
   // entries are excluded).
-  size_t pending_events() const { return live_.size(); }
+  size_t pending_events() const { return heap_.size() - heap_tombstones_; }
   // Raw heap entries including tombstones — exposed so tests can pin the
   // compaction bound (heap size stays O(live) under cancel-heavy load).
   size_t heap_size() const { return heap_.size(); }
@@ -92,9 +98,9 @@ class Simulator {
   // --- checkpoint / restore ---
   //
   // A Checkpoint is a value: plain scalars, an Rng copy, and the sorted ids
-  // of the events that were live at capture time. It deliberately holds no
-  // std::function — the closures themselves are recovered from the retention
-  // map on Restore, so a checkpoint can be copied, stored in an LRU, or
+  // of the events that were pending at capture time. It deliberately holds
+  // no closure — the closures themselves are recovered from the retention
+  // vector on Restore, so a checkpoint can be copied, stored in an LRU, or
   // compared without touching captured state.
   struct Checkpoint {
     Time now = kTimeZero;
@@ -106,24 +112,26 @@ class Simulator {
   };
 
   // Event retention keeps a pristine schedule-time copy of every event's
-  // closure (heap entries are never invoked in place, so copies taken when
+  // closure (slot closures are never invoked in place, so copies taken when
   // retention is switched on are equally pristine). Required for Restore;
   // Snapshot records only ids and works either way.
   void SetEventRetention(bool retain);
   bool event_retention() const { return retain_events_; }
-  // Stops retaining newly scheduled events WITHOUT discarding the map —
-  // unlike SetEventRetention(false), which tears retention down. Use when a
-  // stretch of execution will never be snapshotted (e.g. a case's teardown
-  // settle): its events are scheduled past every earlier checkpoint's
-  // next_seq, so Restore would discard their retained copies unseen anyway.
-  // No Snapshot may be taken while paused (its live events would not be
-  // restorable). Resumed by Restore, or by SetEventRetention(true), which
-  // re-adopts any still-pending unretained events.
+  // Stops retaining newly scheduled events WITHOUT discarding the retained
+  // ones — unlike SetEventRetention(false), which tears retention down. Use
+  // when a stretch of execution will never be snapshotted (e.g. a case's
+  // teardown settle): its events are scheduled past every earlier
+  // checkpoint's next_seq, so Restore would discard their retained copies
+  // unseen anyway. No Snapshot may be taken while paused (its pending
+  // events would not be restorable). Resumed by Restore, or by
+  // SetEventRetention(true), which re-adopts any still-pending unretained
+  // events.
   void PauseEventRetention();
   bool event_retention_paused() const { return retention_paused_; }
-  // Retained closures currently held (live, run, and cancelled ones alike
-  // until a Restore purges the dead branch) — exposed for memory tests.
-  size_t retained_events() const { return retained_.size(); }
+  // Retained closures currently held (pending, run, and cancelled ones
+  // alike until a Restore purges the dead branch) — exposed for memory
+  // tests.
+  size_t retained_events() const { return retained_count_; }
 
   // Captures the kernel state. Quiescent-point rule: callers snapshot
   // between script steps (no event mid-execution); the capture itself is
@@ -132,25 +140,37 @@ class Simulator {
 
   // Reinstates a checkpoint taken earlier on this same instance: rewinds
   // clock/seq/RNG/trace, rebuilds the heap from retained copies of the
-  // checkpoint's live events, and drops retained events scheduled after the
-  // checkpoint (the abandoned branch re-issues those ids deterministically).
-  // Requires event retention to have been on since before the checkpoint;
-  // clears any retention pause (the restored branch is snapshotable again).
+  // checkpoint's pending events, and truncates the retained events
+  // scheduled after the checkpoint (the abandoned branch re-issues those
+  // ids deterministically). Requires event retention to have been on since
+  // before the checkpoint; clears any retention pause (the restored branch
+  // is snapshotable again).
   void Restore(const Checkpoint& checkpoint);
 
  private:
-  struct Event {
+  // A heap key: the event's order and where its closure lives.
+  struct Key {
     Time when;
     uint64_t seq;  // doubles as the EventId
-    std::function<void()> fn;
+    uint32_t slot;
+    bool cancelled;
   };
   // Min-heap comparator for std::push_heap/pop_heap (which build max-heaps).
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
+  struct KeyLater {
+    bool operator()(const Key& a, const Key& b) const {
       return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
   };
+  // One entry per event id. An empty fn marks an id that was never
+  // retained: scheduled before retention was switched on, or while it was
+  // paused.
+  struct RetainedEvent {
+    Time when = kTimeZero;
+    EventFn fn;
+  };
 
+  // Stores `fn` in a free slot and pushes its key.
+  void Push(Time when, uint64_t seq, EventFn fn);
   // Pops cancelled entries off the top until the heap is empty or live.
   void DropCancelled();
   // Rebuilds the heap without tombstones (run when they exceed half of it).
@@ -165,24 +185,26 @@ class Simulator {
   Time now_ = kTimeZero;
   uint64_t next_seq_ = 1;
   uint64_t events_executed_ = 0;
-  // detlint: allow(snapshot-field): Restore rebuilds the heap from retained_; capturing the pending closures is impossible and unnecessary
-  std::vector<Event> heap_;
-  std::unordered_set<EventId> live_;
+  // detlint: allow(snapshot-field): Snapshot records the untombstoned keys' ids, and Restore rebuilds the heap from retained copies of those ids
+  std::vector<Key> heap_;
   // Tombstoned entries still sitting in heap_; drives compaction.
   // detlint: allow(snapshot-field): bookkeeping for the heap it is rebuilt with; reset by Restore
   size_t heap_tombstones_ = 0;
-  // Pristine copies for Restore, keyed by id (ordered so a dead branch can
-  // be purged as one contiguous range).
+  // Closures of pending events, indexed by Key::slot; empty when free.
+  // detlint: allow(snapshot-field): storage behind heap_'s keys, cleared and refilled from retained_ by Restore; a snapshot could not copy its closures
+  std::vector<EventFn> slots_;
+  // detlint: allow(snapshot-field): recycling list for slots_, rebuilt with it by Restore; which slot holds an event never affects order
+  std::vector<uint32_t> free_slots_;
   // detlint: allow(snapshot-field): campaign-mode configuration, not per-run state; constant across a fork tree
   bool retain_events_ = false;
   // detlint: allow(snapshot-field): transient guard around Restore itself; never set at a quiescent capture point
   bool retention_paused_ = false;
-  struct RetainedEvent {
-    Time when;
-    std::function<void()> fn;
-  };
-  // detlint: allow(snapshot-field): the durable event log the checkpoint indexes into; Restore replays it, a snapshot could not copy its closures
-  std::map<EventId, RetainedEvent> retained_;
+  // Pristine copies for Restore, indexed by event id (entry 0 is unused).
+  // Ids are dense and monotonic, so purging a dead branch is a truncate.
+  // detlint: allow(snapshot-field): the durable event log the checkpoint indexes into; Restore truncates and replays it, a snapshot could not copy its closures
+  std::vector<RetainedEvent> retained_;
+  // detlint: allow(snapshot-field): the number of non-empty retained_ entries, kept in step by Restore's truncate
+  size_t retained_count_ = 0;
   Rng rng_;
   TraceLog trace_;
 };

@@ -155,6 +155,12 @@ void Server::ApplyConfig(const Command& command) {
   members_ = command.members;
   TraceEvent("config", "members=" + std::to_string(members_.size()));
   if (role_ == Role::kLeader) {
+    // Start replicating to members this entry adds, as BecomeLeader does
+    // for the members it found; existing members keep their progress.
+    for (net::NodeId peer : members_) {
+      next_index_.try_emplace(peer, LastLogIndex() + 1);
+      match_index_.try_emplace(peer, 0);
+    }
     // Tell replicas that just left the configuration; the leader will not
     // contact them again.
     for (net::NodeId node : old_members) {

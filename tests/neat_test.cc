@@ -686,6 +686,34 @@ TEST(Executor, RaftKvSuiteExposesTheMembershipDataLoss) {
                                              : correct.signature_counts.begin()->first);
 }
 
+// Regression: stacked partial partitions make the flawed raftkv's cluster
+// add a member through a config entry while a leader holds office. The
+// leader had no next_index_ for the new member, so SendAppendEntries read
+// index 0 and dereferenced a null log entry (SIGSEGV). ApplyConfig now
+// starts the new member at the leader's log end, as BecomeLeader does.
+TEST(Executor, RaftKvLeaderReplicatesToMembersAddedByConfig) {
+  TestEvent partial_any;
+  partial_any.kind = EventKind::kPartition;
+  partial_any.partition = PartitionKind::kPartial;
+  partial_any.target = IsolationTarget::kAnyReplica;
+  TestEvent complete_leader;
+  complete_leader.kind = EventKind::kPartition;
+  complete_leader.partition = PartitionKind::kComplete;
+  complete_leader.target = IsolationTarget::kLeader;
+  TestEvent read_majority;
+  read_majority.kind = EventKind::kRead;
+  read_majority.side = Side::kMajority;
+  TestEvent partial_leader = partial_any;
+  partial_leader.target = IsolationTarget::kLeader;
+  const TestCase test_case{partial_any, complete_leader, read_majority, partial_leader,
+                           partial_any};
+  const ExecutionResult result =
+      RunRaftKvTestCase(raftkv::RethinkDbOptions(), test_case, /*seed=*/2);
+  EXPECT_EQ(result.trace, FormatTestCase(test_case));
+  EXPECT_GE(result.trace_report.event_counts.at("config"), 1u)
+      << "the case must exercise a membership change";
+}
+
 TEST(Executor, MqueueSuiteExposesTheDoubleDequeue) {
   // The ActiveMQ-like flaw (AMQ-6978): both sides of the cut dequeue the
   // pre-seeded replicated message. Judged by the double-dequeue checker

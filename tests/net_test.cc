@@ -399,9 +399,21 @@ TEST_F(NetworkTest, DropsInFlightWhenPartitionInstalledBeforeDelivery) {
 }
 
 TEST_F(NetworkTest, DropsToUnregisteredNode) {
-  network_.SendNew<Ping>(1, 99);
+  // Handlers are indexed by NodeId: 0 lies inside the table but was never
+  // registered, 99 lies past its end, and -3 can never index it. Each is
+  // a "no receiver" drop, and none joins the universe.
+  for (const NodeId dst : {NodeId{0}, NodeId{99}, NodeId{-3}}) {
+    network_.SendNew<Ping>(1, dst);
+  }
   simulator_.RunUntilIdle();
-  EXPECT_EQ(network_.messages_dropped(), 1u);
+  EXPECT_EQ(network_.messages_dropped(), 3u);
+  EXPECT_EQ(network_.messages_delivered(), 0u);
+  const auto drops = simulator_.Trace().Filter("net");
+  ASSERT_EQ(drops.size(), 3u);
+  for (const auto& drop : drops) {
+    EXPECT_NE(drop.detail.find("(no receiver)"), std::string::npos) << drop.detail;
+  }
+  EXPECT_EQ(network_.Universe(), (Group{1, 2}));
 }
 
 TEST_F(NetworkTest, FlakyLinkDropsProbabilistically) {
@@ -445,6 +457,34 @@ TEST_F(NetworkTest, CrashedNodeStaysInUniverseAndDropsAsNoReceiver) {
   network_.SendNew<Ping>(1, 2);
   simulator_.RunUntilIdle();
   EXPECT_EQ(received_by_2_.size(), 1u);
+}
+
+// A handler may change the handler table while it runs: crash its own
+// node (nulling its own entry) or register a NodeId past the table's end
+// (growing it). The running handler must be unaffected — its captures
+// stay alive until it returns — and both changes take effect for later
+// deliveries. The label capture is too large for std::function's inline
+// buffer, so a handler destroyed mid-run shows up under ASan.
+TEST_F(NetworkTest, HandlerMayCrashItsOwnNodeOrRegisterAHigherIdWhileRunning) {
+  std::vector<std::string> log;
+  const std::string label = "node3-handler-with-a-heap-allocated-label";
+  network_.Register(3, [this, &log, label](const Envelope& e) {
+    network_.Register(3, nullptr);
+    network_.Register(500, [&log](const Envelope& inner) {
+      log.push_back("n500 from " + std::to_string(inner.src));
+    });
+    log.push_back(label + " from " + std::to_string(e.src));
+  });
+  network_.set_latency({sim::Milliseconds(1), 0});
+  network_.SendNew<Ping>(1, 3);
+  network_.SendNew<Ping>(2, 3);  // arrives after node 3 crashed itself
+  simulator_.RunUntilIdle();
+  network_.SendNew<Ping>(1, 500);
+  simulator_.RunUntilIdle();
+  EXPECT_EQ(log, (std::vector<std::string>{label + " from 1", "n500 from 1"}));
+  EXPECT_EQ(network_.messages_delivered(), 2u);
+  EXPECT_EQ(network_.messages_dropped(), 1u);
+  EXPECT_EQ(network_.Universe(), (Group{1, 2, 3, 500}));
 }
 
 // A second message type so fault-rule matching can be shown to be

@@ -2,18 +2,59 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstdlib>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/network.h"
 #include "net/partition.h"
+#include "sim/event_fn.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 #include "sim/trace.h"
+
+// Counts every global operator new in this test binary, so the allocation
+// test can pin the kernel's per-event path at zero. Every replaceable
+// non-aligned form is replaced, so that sanitizer runtimes, which supply
+// their own, never pair one of theirs with one of these.
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+
+void* CountedMalloc(std::size_t size) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+// Kept out of line so the compiler pairs call sites with these operators,
+// not with the malloc/free inside them.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (void* p = CountedMalloc(size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+[[gnu::noinline]] void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace sim {
 namespace {
@@ -216,6 +257,187 @@ TEST(SimulatorTest, CountsExecutedEvents) {
   EXPECT_EQ(s.events_executed(), 7u);
 }
 
+// --- EventFn ---
+
+// Counts live copies of itself, so construction and destruction can be
+// checked for balance through every copy, move and assignment.
+struct Tracked {
+  explicit Tracked(int* live_count) : live(live_count) { ++*live; }
+  Tracked(const Tracked& other) : live(other.live) { ++*live; }
+  Tracked(Tracked&& other) noexcept : live(other.live) { ++*live; }
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() { --*live; }
+  int* live;
+};
+
+TEST(EventFnTest, StoresUpToTheInlineSizeInPlaceAndLargerClosuresOnTheHeap) {
+  int sum = 0;
+  std::array<char, EventFn::kInlineSize - sizeof(int*)> fits{};
+  fits[0] = 1;
+  auto at_limit = [&sum, fits]() { sum += fits[0]; };
+  static_assert(sizeof(at_limit) == EventFn::kInlineSize);
+  std::array<char, EventFn::kInlineSize> spills{};
+  spills[0] = 2;
+  auto over_limit = [&sum, spills]() { sum += spills[0]; };
+  static_assert(sizeof(over_limit) > EventFn::kInlineSize);
+
+  EventFn inline_fn = at_limit;
+  EventFn heap_fn = over_limit;
+  EXPECT_TRUE(inline_fn.stored_inline());
+  EXPECT_FALSE(heap_fn.stored_inline());
+  EventFn heap_copy = heap_fn;
+  EXPECT_FALSE(heap_copy.stored_inline());
+  inline_fn();
+  heap_fn();
+  heap_copy();
+  EXPECT_EQ(sum, 5);
+
+  EventFn empty;
+  EXPECT_FALSE(empty);
+  EXPECT_FALSE(empty.stored_inline());
+  EventFn moved = std::move(heap_fn);
+  EXPECT_FALSE(heap_fn);  // a moved-from EventFn is empty
+  moved();
+  EXPECT_EQ(sum, 7);
+}
+
+// The kernel retains a copy of each event and runs another; a `mutable`
+// closure that consumes its captures when it runs (Process::ScheduleTick
+// moves its callback on to the next tick) must leave the retained copy
+// untouched, whether the closure is stored inline or on the heap.
+TEST(EventFnTest, CopyStaysPristineAfterTheRunningCopyConsumesItsCaptures) {
+  std::vector<std::string> out;
+  auto consume = [&out](std::vector<std::string>& words) {
+    for (std::string& word : words) {
+      out.push_back(std::move(word));
+    }
+    words.clear();
+  };
+  std::vector<std::string> words{"a", "b"};  // non-const: captures copy its type
+  EventFn small = [&consume, words]() mutable { consume(words); };
+  EventFn large = [&consume, words, pad = std::array<char, 128>{}]() mutable {
+    (void)pad;
+    consume(words);
+  };
+  ASSERT_TRUE(small.stored_inline());
+  ASSERT_FALSE(large.stored_inline());
+  for (EventFn* running : {&small, &large}) {
+    out.clear();
+    EventFn retained = *running;
+    (*running)();
+    (*running)();  // its captures are spent
+    retained();
+    EXPECT_EQ(out, (std::vector<std::string>{"a", "b", "a", "b"}));
+  }
+}
+
+TEST(EventFnTest, ConstructionAndDestructionStayBalanced) {
+  int live = 0;
+  {
+    Tracked tracked(&live);  // non-const, so captured copies move noexcept
+    EventFn a = [tracked]() {};
+    EventFn b = [tracked, pad = std::array<char, 128>{}]() { (void)pad; };
+    ASSERT_TRUE(a.stored_inline());
+    ASSERT_FALSE(b.stored_inline());
+    EXPECT_EQ(live, 3);
+    EventFn c = a;
+    EventFn d = b;
+    EventFn e = std::move(a);
+    EventFn f = std::move(b);
+    EXPECT_EQ(live, 5);  // moves relocate, they never duplicate
+    c = d;               // inline replaced by a heap copy
+    e = std::move(f);    // inline replaced by a stolen heap box
+    EXPECT_EQ(live, 4);
+    d.Reset();
+    EventFn g;
+    g = e;
+    g = g;  // self-assignment keeps the closure
+    EXPECT_EQ(live, 4);
+    g = EventFn{};
+    EXPECT_EQ(live, 3);
+  }
+  EXPECT_EQ(live, 0);
+
+  // The same balance through the kernel: retained copies, cancelled and
+  // run events, a Restore that truncates and refills, and teardown.
+  {
+    Tracked tracked(&live);
+    Simulator s;
+    s.SetEventRetention(true);
+    const Simulator::Checkpoint start = s.Snapshot();
+    for (int branch = 0; branch < 3; ++branch) {
+      std::vector<EventId> ids;
+      for (int i = 0; i < 8; ++i) {
+        ids.push_back(s.Schedule(Milliseconds(i + 1), [tracked]() {}));
+        s.Schedule(Milliseconds(i + 1), [tracked, pad = std::array<char, 96>{}]() { (void)pad; });
+      }
+      s.Cancel(ids[2]);
+      s.RunFor(Milliseconds(4));
+      s.Restore(start);
+    }
+    s.Schedule(Milliseconds(1), [tracked]() {});
+  }
+  EXPECT_EQ(live, 0);
+}
+
+struct AllocationProbe : public net::Message {
+  std::string TypeName() const override { return "AllocationProbe"; }
+};
+
+// Once the kernel's vectors have grown to the workload's high-water mark,
+// scheduling and running an event allocates nothing — with and without
+// retention — for closures shaped like the network-delivery closure (a
+// pointer plus an Envelope) and the Process::Every tick closure (a pointer,
+// epoch, period and std::function).
+TEST(SimulatorAllocation, DeliveryAndTimerSizedEventsAllocateNothingAfterWarmUp) {
+  Simulator s;
+  s.Trace().set_enabled(false);
+  uint64_t ran = 0;
+  const auto msg = std::make_shared<const AllocationProbe>();
+  const std::function<void()> body = [&ran]() { ++ran; };
+  const uint64_t epoch = 1;
+  const Duration period = Milliseconds(1);
+  auto schedule_batch = [&]() {
+    for (int i = 0; i < 5000; ++i) {
+      const net::Envelope envelope{1, 2, s.Now(), msg, static_cast<uint64_t>(i)};
+      auto delivery = [counter = &ran, envelope]() mutable {
+        const net::Envelope delivered = std::move(envelope);
+        *counter += delivered.msg != nullptr ? 1 : 0;
+      };
+      auto tick = [counter = &ran, epoch, period, fn = body]() mutable {
+        if (*counter > 0 && epoch == 1 && period > 0) {
+          fn();
+        }
+      };
+      static_assert(sizeof(delivery) == sizeof(void*) + sizeof(net::Envelope));
+      static_assert(sizeof(tick) == sizeof(void*) + 16 + sizeof(std::function<void()>));
+      static_assert(EventFn::kStoresInline<decltype(delivery)>);
+      static_assert(EventFn::kStoresInline<decltype(tick)>);
+      s.Schedule(i % 97, std::move(delivery));
+      s.Schedule(i % 89, std::move(tick));
+    }
+  };
+
+  schedule_batch();  // warm-up: grows the heap, slot and free-list vectors
+  s.RunUntilIdle();
+  uint64_t before = g_allocations.load();
+  schedule_batch();
+  s.RunUntilIdle();
+  EXPECT_EQ(g_allocations.load() - before, 0u) << "without retention";
+
+  s.SetEventRetention(true);
+  const Simulator::Checkpoint start = s.Snapshot();
+  schedule_batch();  // warm-up: grows the retention vector
+  s.RunUntilIdle();
+  s.Restore(start);
+  before = g_allocations.load();
+  schedule_batch();
+  s.RunUntilIdle();
+  s.Restore(start);
+  EXPECT_EQ(g_allocations.load() - before, 0u) << "with retention and Restore";
+  EXPECT_EQ(ran, 4u * 2u * 5000u);
+}
+
 // Regression: NextBelow(0) used to compute `(0 - 0) % 0` — an integer
 // division by zero that crashes on every mainstream target. The empty
 // range now yields 0 without consuming randomness.
@@ -407,6 +629,47 @@ TEST(SimulatorSnapshot, RetentionAdoptsAlreadyPendingEvents) {
   s.Restore(checkpoint);
   s.RunUntilIdle();
   EXPECT_EQ(ran, 2);  // the adopted copy replays like a schedule-time one
+}
+
+// Retention paused for a stretch, then resumed by SetEventRetention(true)
+// rather than by a Restore: the events scheduled during the pause are
+// adopted from the pending set, so a checkpoint taken after the resume
+// replays them; a Restore to a checkpoint from before the pause truncates
+// the whole gap away.
+TEST(SimulatorSnapshot, RestoreAcrossAPausedRetentionGap) {
+  Simulator s;
+  s.SetEventRetention(true);
+  std::vector<int> log;
+  s.Schedule(Milliseconds(1), [&log]() { log.push_back(1); });
+  const Simulator::Checkpoint before_pause = s.Snapshot();
+  s.PauseEventRetention();
+  s.Schedule(Milliseconds(2), [&log]() { log.push_back(2); });
+  s.Schedule(Milliseconds(3), [&log]() { log.push_back(3); });
+  EXPECT_EQ(s.retained_events(), 1u);  // the pause-era events are not copied
+  s.SetEventRetention(true);
+  EXPECT_FALSE(s.event_retention_paused());
+  EXPECT_EQ(s.retained_events(), 3u);  // ...until the resume adopts them
+  s.Schedule(Milliseconds(4), [&log]() { log.push_back(4); });
+  EXPECT_EQ(s.retained_events(), 4u);
+  s.RunFor(Milliseconds(1));
+  const Simulator::Checkpoint after_resume = s.Snapshot();
+  EXPECT_EQ(after_resume.live, (std::vector<EventId>{2, 3, 4}));
+  s.RunUntilIdle();
+  EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4}));
+
+  log.resize(1);
+  s.Restore(after_resume);
+  s.RunUntilIdle();
+  EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4}));
+
+  log.clear();
+  s.Restore(before_pause);
+  EXPECT_EQ(s.retained_events(), 1u);
+  EXPECT_EQ(s.pending_events(), 1u);
+  s.RunUntilIdle();
+  EXPECT_EQ(log, (std::vector<int>{1}));
+  // The replayed branch re-issues the truncated ids in order.
+  EXPECT_EQ(s.Schedule(Milliseconds(1), []() {}), 2u);
 }
 
 TEST(TraceTest, FilterByComponentPrefix) {
