@@ -165,6 +165,12 @@ struct GoldenCase {
   bool with_baseline;
 };
 
+// Without this, gtest shows each case as a raw byte dump of the struct (a
+// string-literal address plus padding), which changes from run to run.
+void PrintTo(const GoldenCase& param, std::ostream* os) {
+  *os << '"' << param.name << '"' << (param.with_baseline ? " with baseline" : "");
+}
+
 class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenTest, MatchesGoldenJson) {
