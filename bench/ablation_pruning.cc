@@ -127,7 +127,8 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < variants.size(); ++i) {
     neat::CampaignResult result =
         neat::RunCampaign(generator, 3, neat::PaperPruning(),
-                          neat::PbkvCaseExecutor(variants[i].options), options);
+                          neat::ReplayExecutor(neat::PbkvRunnerFactory(variants[i].options)),
+                          options);
     PrintCampaignRow(variants[i].name, result);
     if (i == 0) {
       voltdb = std::move(result);
@@ -151,7 +152,8 @@ int main(int argc, char** argv) {
   for (const LockVariant& variant : lock_variants) {
     const neat::CampaignResult result =
         neat::RunCampaign(lock_generator, 3, neat::PaperPruning(),
-                          neat::LocksvcCaseExecutor(variant.options), options);
+                          neat::ReplayExecutor(neat::LocksvcRunnerFactory(variant.options)),
+                          options);
     PrintCampaignRow(variant.name, result);
   }
 

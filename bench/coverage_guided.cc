@@ -103,9 +103,9 @@ int main() {
   lock_alphabet.client_events = {neat::EventKind::kLock, neat::EventKind::kUnlock};
   std::vector<Suite> suites;
   suites.push_back({"pbkv/VoltDB-like", neat::TestCaseGenerator(kv_alphabet),
-                    neat::PbkvCaseExecutor(pbkv::VoltDbOptions())});
+                    neat::ReplayExecutor(neat::PbkvRunnerFactory(pbkv::VoltDbOptions()))});
   suites.push_back({"locksvc/Ignite-like", neat::TestCaseGenerator(lock_alphabet),
-                    neat::LocksvcCaseExecutor(locksvc::IgniteOptions())});
+                    neat::ReplayExecutor(neat::LocksvcRunnerFactory(locksvc::IgniteOptions()))});
 
   std::printf("| suite | mode | runs | failures | signatures | coverage features | "
               "coverage hits |\n");

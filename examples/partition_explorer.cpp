@@ -62,7 +62,8 @@ int main() {
       if (test_case.front().kind != neat::EventKind::kPartition) {
         continue;
       }
-      const auto result = neat::RunPbkvTestCase(variant.options, test_case, /*seed=*/1);
+      const auto result =
+          neat::ReplayExecutor(neat::PbkvRunnerFactory(variant.options))(test_case, /*seed=*/1);
       if (result.found_failure) {
         ++failures_by_kind[test_case.front().partition];
         ++total;

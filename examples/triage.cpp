@@ -95,13 +95,15 @@ int main(int argc, char** argv) {
        {"pbkv triage", "pbkv/VoltDB-like (seeded dirty reads)", suite_mode,
         options.threads, options.seeds},
        neat::RunCampaign(kv_generator, 4, neat::PaperPruning(),
-                         neat::PbkvCaseExecutor(pbkv::VoltDbOptions()), options)},
+                         neat::ReplayExecutor(neat::PbkvRunnerFactory(pbkv::VoltDbOptions())),
+                         options)},
       {"locksvc",
        {"locksvc triage", "locksvc/Ignite-like (seeded view shrinking)",
         guided ? suite_mode : "paper-pruned lock/unlock, len <= 4", options.threads,
         options.seeds},
        neat::RunCampaign(lock_generator, 4, neat::PaperPruning(),
-                         neat::LocksvcCaseExecutor(locksvc::IgniteOptions()), options)},
+                         neat::ReplayExecutor(neat::LocksvcRunnerFactory(locksvc::IgniteOptions())),
+                         options)},
   };
 
   bool ok = true;

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 #include <utility>
+#include <vector>
 
 #include "check/causal.h"
+#include "check/checkers.h"
 #include "check/linearizability.h"
 #include "neat/coverage.h"
 #include "neat/trace_report.h"
@@ -29,11 +30,36 @@ class StateHash {
   uint64_t hash_ = 14695981039346656037ull;
 };
 
+// A cluster's CaptureState wrapped as a SystemState. Restore type-checks
+// with a dynamic_cast, which also enforces the same-system half of the
+// snapshot contract.
+template <class Cluster>
+struct ClusterState final : SystemState {
+  explicit ClusterState(typename Cluster::State captured) : state(std::move(captured)) {}
+  typename Cluster::State state;
+};
+
 }  // namespace
 
+template <class Cluster>
+std::unique_ptr<SystemState> ClusterSystem<Cluster>::Snapshot() const {
+  return std::make_unique<ClusterState<Cluster>>(cluster_.CaptureState());
+}
+
+template <class Cluster>
+void ClusterSystem<Cluster>::Restore(const SystemState& state) {
+  const auto* snapshot = dynamic_cast<const ClusterState<Cluster>*>(&state);
+  assert(snapshot != nullptr && "a system restores only its own snapshots");
+  cluster_.RestoreState(snapshot->state);
+}
+
+template class ClusterSystem<pbkv::Cluster>;
+template class ClusterSystem<raftkv::Cluster>;
+template class ClusterSystem<locksvc::Cluster>;
+template class ClusterSystem<mqueue::Cluster>;
+
 bool LocksvcSystem::GetStatus() {
-  // Healthy when a lock round-trip works end to end.
-  const std::string resource = "__status_probe_" + std::to_string(status_probe_++);
+  const std::string resource = "__status_probe_" + std::to_string(cluster_.history().size());
   if (cluster_.Lock(0, resource).status != check::OpStatus::kOk) {
     return false;
   }
@@ -74,100 +100,7 @@ uint64_t MqueueSystem::StateDigest() const {
   return hash.value();
 }
 
-void SchedSystem::Shutdown() {
-  net::Group all = cluster_.worker_ids();
-  all.push_back(cluster_.rm_id());
-  all.push_back(cluster_.store_id());
-  cluster_.env().Crash(all);
-}
-
-// --- system snapshots ---
-//
-// Each adapter's snapshot wraps its cluster's CaptureState (environment
-// plus every process) in a SystemState. The concrete types stay private to
-// this translation unit; Restore type-checks with a dynamic_cast, which
-// also enforces the same-system half of the contract.
-
 namespace {
-
-struct PbkvSystemState : SystemState {
-  explicit PbkvSystemState(pbkv::Cluster::State captured) : state(std::move(captured)) {}
-  pbkv::Cluster::State state;
-};
-
-struct RaftKvSystemState : SystemState {
-  explicit RaftKvSystemState(raftkv::Cluster::State captured) : state(std::move(captured)) {}
-  raftkv::Cluster::State state;
-};
-
-struct LocksvcSystemState : SystemState {
-  LocksvcSystemState(locksvc::Cluster::State captured, int probe)
-      : state(std::move(captured)), status_probe(probe) {}
-  locksvc::Cluster::State state;
-  int status_probe = 0;
-};
-
-struct MqueueSystemState : SystemState {
-  explicit MqueueSystemState(mqueue::Cluster::State captured) : state(std::move(captured)) {}
-  mqueue::Cluster::State state;
-};
-
-}  // namespace
-
-std::unique_ptr<SystemState> PbkvSystem::Snapshot() const {
-  return std::make_unique<PbkvSystemState>(cluster_.CaptureState());
-}
-
-void PbkvSystem::Restore(const SystemState& state) {
-  const auto* snapshot = dynamic_cast<const PbkvSystemState*>(&state);
-  assert(snapshot != nullptr && "pbkv restore needs a pbkv snapshot");
-  cluster_.RestoreState(snapshot->state);
-}
-
-std::unique_ptr<SystemState> RaftKvSystem::Snapshot() const {
-  return std::make_unique<RaftKvSystemState>(cluster_.CaptureState());
-}
-
-void RaftKvSystem::Restore(const SystemState& state) {
-  const auto* snapshot = dynamic_cast<const RaftKvSystemState*>(&state);
-  assert(snapshot != nullptr && "raftkv restore needs a raftkv snapshot");
-  cluster_.RestoreState(snapshot->state);
-}
-
-std::unique_ptr<SystemState> LocksvcSystem::Snapshot() const {
-  return std::make_unique<LocksvcSystemState>(cluster_.CaptureState(), status_probe_);
-}
-
-void LocksvcSystem::Restore(const SystemState& state) {
-  const auto* snapshot = dynamic_cast<const LocksvcSystemState*>(&state);
-  assert(snapshot != nullptr && "locksvc restore needs a locksvc snapshot");
-  cluster_.RestoreState(snapshot->state);
-  status_probe_ = snapshot->status_probe;
-}
-
-std::unique_ptr<SystemState> MqueueSystem::Snapshot() const {
-  return std::make_unique<MqueueSystemState>(cluster_.CaptureState());
-}
-
-void MqueueSystem::Restore(const SystemState& state) {
-  const auto* snapshot = dynamic_cast<const MqueueSystemState*>(&state);
-  assert(snapshot != nullptr && "mqueue restore needs an mqueue snapshot");
-  cluster_.RestoreState(snapshot->state);
-}
-
-namespace {
-
-// Picks the node the partition isolates.
-net::NodeId PickIsolated(pbkv::Cluster& cluster, IsolationTarget target) {
-  if (target == IsolationTarget::kLeader) {
-    const net::NodeId primary = cluster.FindPrimary();
-    if (primary != net::kInvalidNode) {
-      return primary;
-    }
-  }
-  // "Any replica": a fixed non-initial-leader replica keeps runs comparable.
-  return cluster.server_ids().back();
-}
 
 const char* PartitionKindName(PartitionKind kind) {
   switch (kind) {
@@ -181,7 +114,7 @@ const char* PartitionKindName(PartitionKind kind) {
   return "?";
 }
 
-// The partition/heal machinery every executor shares: builds the requested
+// The partition/heal machinery every runner shares: builds the requested
 // partition shape around an isolated node (or between explicit groups) and
 // tears it down, keeping track of the currently installed partition so
 // re-partition and final heal are uniform across systems. Each install and
@@ -316,156 +249,239 @@ class StateObserver {
   TraceScan scan_;
 };
 
-// --- per-system case runners ---
+// --- the case-runner skeleton ---
 //
-// Each runner is the corresponding Run*TestCase executor cut at its event
-// loop: the constructor is everything before the loop (build, settle,
-// client config), ApplyEvent is one loop iteration, Finish is everything
-// after. The Run*TestCase wrappers below drive a fresh runner straight
-// through, so their behaviour is unchanged; the fork executor drives the
-// same runner with snapshots in between.
+// Runner<Driver> is every system's case runner: the constructor builds and
+// boots the cluster, ApplyEvent applies one test event, and Finish runs the
+// post-sequence phase; the fork executor snapshots between events. The
+// skeleton owns what all systems share — the system, the partition script,
+// the state observer, the driver's per-run Scalars (copyable, snapshotted)
+// — and asks the driver for what differs: the cluster config (MakeConfig);
+// the boot settle (the driver's constructor, which records boot-time
+// constants; the observer samples its first digest right after) and the
+// rest of boot (Boot); the nodes partitions cut (Universe); a partition
+// event's cut around the driver's isolated node (Partition); the client-
+// event mapping (Client); verification operations after the heal
+// (FinalOps); and the history checkers (kCheckers). kSettleBeforeHeal and
+// kObserveFinalOps keep each system's exact Finish sequence.
 
-struct PbkvRunnerState : SystemState {
-  std::unique_ptr<SystemState> system;
-  PartitionScript::State script;
-  StateObserver::State observer;
-  bool slept_for_election = false;
-  int value_counter = 0;
-};
+using Checker = std::vector<check::Violation> (*)(const check::History& history);
 
-class PbkvRunner : public CaseRunner {
+template <class Driver>
+class Runner final : public CaseRunner {
  public:
-  PbkvRunner(const pbkv::Options& options, uint64_t seed, bool strong)
-      : strong_(strong), system_(MakeConfig(options, seed)) {
-    pbkv::Cluster& cluster = system_.cluster();
-    cluster.Settle(sim::Milliseconds(500));
-    observer_.emplace(system_, system_.Env().simulator().Trace());
-    cluster.client(kMinorityClient).set_allow_redirect(false);
-    cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(500));
-    cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(500));
-    script_.emplace(cluster.env(), cluster.server_ids());
+  using Cluster = typename Driver::Cluster;
+
+  Runner(const typename Driver::Options& options, uint64_t seed)
+      : system_(Driver::MakeConfig(options, seed)),
+        driver_(system_.cluster()),
+        observer_(system_, system_.Env().simulator().Trace()),
+        script_(system_.Env(), driver_.Universe(system_.cluster())) {
+    driver_.Boot(system_.cluster());
   }
 
   TestEnv& Env() override { return system_.Env(); }
   ISystem* System() override { return &system_; }
 
   void ApplyEvent(const TestEvent& event) override {
-    pbkv::Cluster& cluster = system_.cluster();
+    Cluster& cluster = system_.cluster();
     switch (event.kind) {
       case EventKind::kPartition:
-        script_->Partition(event.partition, PickIsolated(cluster, event.target));
-        slept_for_election_ = false;
+        driver_.Partition(cluster, event, script_, scalars_);
         break;
       case EventKind::kHeal:
-        script_->Heal();
+        script_.Heal();
         break;
-      case EventKind::kWrite:
-        cluster.Put(ClientFor(event.side), key_, "v" + std::to_string(++value_counter_));
+      default:
+        driver_.Client(cluster, event, script_, scalars_);
         break;
-      case EventKind::kRead:
-        cluster.Get(ClientFor(event.side), key_);
-        break;
-      case EventKind::kDelete:
-        cluster.Delete(ClientFor(event.side), key_);
-        break;
-      case EventKind::kLock:
-      case EventKind::kUnlock:
-        break;  // pbkv has no locks; the locksvc executor covers those
     }
-    observer_->Observe();
+    observer_.Observe();
   }
 
   ExecutionResult Finish(const TestCase& test_case) override {
-    pbkv::Cluster& cluster = system_.cluster();
+    Cluster& cluster = system_.cluster();
     ExecutionResult result;
     result.trace = FormatTestCase(test_case);
-    if (script_->partitioned()) {
+    if (Driver::kSettleBeforeHeal && script_.partitioned()) {
       // The studied partitions last minutes to hours; let the system run its
       // failure-handling (elections, step-downs) before the heal so latent
       // damage — e.g. asynchronously replicated writes stranded on a deposed
       // leader — manifests.
       cluster.Settle(sim::Milliseconds(800));
-      script_->Heal();
     }
+    script_.Heal();
     cluster.Settle(sim::Seconds(1));
-    observer_->Observe();
-    cluster.client(kMajorityClient).set_contact(cluster.server_ids().front());
-    cluster.client(kMajorityClient).set_allow_redirect(true);
-    cluster.Get(kMajorityClient, key_, /*final_read=*/true);
+    observer_.Observe();
+    driver_.FinalOps(cluster);
+    if (Driver::kObserveFinalOps) {
+      observer_.Observe();
+    }
 
-    const check::History& history = cluster.history();
     auto add = [&result](std::vector<check::Violation> violations) {
       result.violations.insert(result.violations.end(), violations.begin(), violations.end());
     };
-    add(check::CheckDirtyReads(history));
-    add(check::CheckDataLoss(history));
-    add(check::CheckReappearance(history));
-    if (strong_) {
-      add(check::CheckStaleReads(history));
+    for (const Checker checker : Driver::kCheckers) {
+      add(checker(cluster.history()));
     }
     const sim::TraceLog& trace = system_.Env().simulator().Trace();
     if (trace.causal()) {
       add(check::CheckCascades(trace));
     }
     result.found_failure = !result.violations.empty();
-    result.trace_report = observer_->Report();
-    result.coverage = observer_->Finish();
+    result.trace_report = observer_.Report();
+    result.coverage = observer_.Finish();
     return result;
   }
 
   std::unique_ptr<SystemState> Snapshot() const override {
-    auto state = std::make_unique<PbkvRunnerState>();
+    auto state = std::make_unique<State>();
     state->system = system_.Snapshot();
-    if (state->system == nullptr) {
-      return nullptr;
-    }
-    state->script = script_->CaptureState();
-    state->observer = observer_->CaptureState();
-    state->slept_for_election = slept_for_election_;
-    state->value_counter = value_counter_;
+    state->script = script_.CaptureState();
+    state->observer = observer_.CaptureState();
+    state->scalars = scalars_;
     return state;
   }
 
   void Restore(const SystemState& state) override {
-    const auto* runner_state = dynamic_cast<const PbkvRunnerState*>(&state);
-    assert(runner_state != nullptr && "pbkv runner restore needs a pbkv runner state");
-    system_.Restore(*runner_state->system);
-    script_->RestoreState(runner_state->script);
-    observer_->RestoreState(runner_state->observer);
-    slept_for_election_ = runner_state->slept_for_election;
-    value_counter_ = runner_state->value_counter;
+    const auto* saved = dynamic_cast<const State*>(&state);
+    assert(saved != nullptr && "a runner restores only its own snapshots");
+    system_.Restore(*saved->system);
+    script_.RestoreState(saved->script);
+    observer_.RestoreState(saved->observer);
+    scalars_ = saved->scalars;
   }
 
  private:
-  static constexpr int kMinorityClient = 0;
-  static constexpr int kMajorityClient = 1;
+  struct State final : SystemState {
+    std::unique_ptr<SystemState> system;
+    PartitionScript::State script;
+    StateObserver::State observer;
+    typename Driver::Scalars scalars;
+  };
 
-  static pbkv::Cluster::Config MakeConfig(const pbkv::Options& options, uint64_t seed) {
-    pbkv::Cluster::Config config;
+  typename Driver::System system_;
+  const Driver driver_;
+  StateObserver observer_;
+  PartitionScript script_;
+  typename Driver::Scalars scalars_;
+};
+
+template <class Driver>
+RunnerFactory Factory(const typename Driver::Options& options) {
+  return [options](uint64_t seed) -> std::unique_ptr<CaseRunner> {
+    return std::make_unique<Runner<Driver>>(options, seed);
+  };
+}
+
+// --- drivers ---
+
+constexpr int kMinorityClient = 0;
+constexpr int kMajorityClient = 1;
+constexpr char kKey[] = "k";  // the one key the KV systems' events touch
+
+// Maps a KV client event (write/read/delete) to the cluster's Put/Get/
+// Delete; `client_for` picks the client, and is called only for those
+// events because picking may sleep for an election.
+template <class Cluster, class ClientFor>
+void ApplyKvEvent(Cluster& cluster, const TestEvent& event, int& value_counter,
+                  const ClientFor& client_for) {
+  switch (event.kind) {
+    case EventKind::kWrite:
+      cluster.Put(client_for(), kKey, "v" + std::to_string(++value_counter));
+      break;
+    case EventKind::kRead:
+      cluster.Get(client_for(), kKey);
+      break;
+    case EventKind::kDelete:
+      cluster.Delete(client_for(), kKey);
+      break;
+    default:
+      break;  // no lock surface; the locksvc driver covers those
+  }
+}
+
+class PbkvDriver {
+ public:
+  using Cluster = pbkv::Cluster;
+  using System = PbkvSystem;
+  using Options = pbkv::Options;
+  struct Scalars {
+    bool slept_for_election = false;
+    int value_counter = 0;
+  };
+  static constexpr bool kSettleBeforeHeal = true;
+  static constexpr bool kObserveFinalOps = false;
+  static constexpr Checker kCheckers[] = {check::CheckDirtyReads, check::CheckDataLoss,
+                                          check::CheckReappearance, check::CheckStaleReads};
+
+  static Cluster::Config MakeConfig(const Options& options, uint64_t seed) {
+    Cluster::Config config;
     config.options = options;
     config.num_clients = 2;
     config.seed = seed;
     return config;
   }
 
-  int ClientFor(Side side) {
-    pbkv::Cluster& cluster = system_.cluster();
-    if (side == Side::kMinority && script_->partitioned()) {
+  explicit PbkvDriver(Cluster& cluster) { cluster.Settle(sim::Milliseconds(500)); }
+
+  void Boot(Cluster& cluster) const {
+    cluster.client(kMinorityClient).set_allow_redirect(false);
+    cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(500));
+    cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(500));
+  }
+
+  net::Group Universe(const Cluster& cluster) const { return cluster.server_ids(); }
+
+  void Partition(Cluster& cluster, const TestEvent& event, PartitionScript& script,
+                 Scalars& scalars) const {
+    script.Partition(event.partition, PickIsolated(cluster, event.target));
+    scalars.slept_for_election = false;
+  }
+
+  void Client(Cluster& cluster, const TestEvent& event, const PartitionScript& script,
+              Scalars& scalars) const {
+    ApplyKvEvent(cluster, event, scalars.value_counter,
+                 [&] { return ClientFor(cluster, event.side, script, scalars); });
+  }
+
+  void FinalOps(Cluster& cluster) const {
+    cluster.client(kMajorityClient).set_contact(cluster.server_ids().front());
+    cluster.client(kMajorityClient).set_allow_redirect(true);
+    cluster.Get(kMajorityClient, kKey, /*final_read=*/true);
+  }
+
+ private:
+  // Picks the node the partition isolates.
+  static net::NodeId PickIsolated(const Cluster& cluster, IsolationTarget target) {
+    if (target == IsolationTarget::kLeader) {
+      const net::NodeId primary = cluster.FindPrimary();
+      if (primary != net::kInvalidNode) {
+        return primary;
+      }
+    }
+    // "Any replica": a fixed non-initial-leader replica keeps runs comparable.
+    return cluster.server_ids().back();
+  }
+
+  static int ClientFor(Cluster& cluster, Side side, const PartitionScript& script,
+                       Scalars& scalars) {
+    if (side == Side::kMinority && script.partitioned()) {
       // Section 5.2: events on the old leader's side must be invoked right
       // after the partition, before it steps down — no sleep.
-      cluster.client(kMinorityClient).set_contact(script_->isolated());
+      cluster.client(kMinorityClient).set_contact(script.isolated());
       return kMinorityClient;
     }
-    if (script_->partitioned() && !slept_for_election_) {
+    if (script.partitioned() && !scalars.slept_for_election) {
       // ...while on the majority side, the test sleeps until a new leader
       // is elected (the NEAT tests' SLEEP_LEADER_ELECTION_PERIOD).
       cluster.Settle(sim::Milliseconds(600));
-      slept_for_election_ = true;
+      scalars.slept_for_election = true;
     }
     net::NodeId contact = cluster.server_ids().front();
-    if (script_->partitioned()) {
+    if (script.partitioned()) {
       for (net::NodeId node : cluster.server_ids()) {
-        if (node != script_->isolated()) {
+        if (node != script.isolated()) {
           contact = node;
           break;
         }
@@ -474,285 +490,115 @@ class PbkvRunner : public CaseRunner {
     cluster.client(kMajorityClient).set_contact(contact);
     return kMajorityClient;
   }
-
-  // detlint: allow(snapshot-field): variant flag chosen at construction; constant for the lifetime of the runner
-  bool strong_;
-  PbkvSystem system_;
-  std::optional<StateObserver> observer_;
-  std::optional<PartitionScript> script_;
-  bool slept_for_election_ = false;
-  int value_counter_ = 0;
-  const std::string key_ = "k";
 };
 
-struct LocksvcRunnerState : SystemState {
-  std::unique_ptr<SystemState> system;
-  PartitionScript::State script;
-  StateObserver::State observer;
-};
-
-class LocksvcRunner : public CaseRunner {
+class LocksvcDriver {
  public:
-  LocksvcRunner(const locksvc::Options& options, uint64_t seed)
-      : system_(MakeConfig(options, seed)) {
-    locksvc::Cluster& cluster = system_.cluster();
-    cluster.Settle(sim::Milliseconds(300));
-    observer_.emplace(system_, system_.Env().simulator().Trace());
-    cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(500));
-    cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(500));
-    script_.emplace(cluster.env(), cluster.server_ids());
-    isolated_ = cluster.server_ids().back();
-  }
+  using Cluster = locksvc::Cluster;
+  using System = LocksvcSystem;
+  using Options = locksvc::Options;
+  struct Scalars {};
+  static constexpr bool kSettleBeforeHeal = false;
+  static constexpr bool kObserveFinalOps = false;
+  static constexpr Checker kCheckers[] = {check::CheckBrokenLocks};
 
-  TestEnv& Env() override { return system_.Env(); }
-  ISystem* System() override { return &system_; }
-
-  void ApplyEvent(const TestEvent& event) override {
-    locksvc::Cluster& cluster = system_.cluster();
-    switch (event.kind) {
-      case EventKind::kPartition:
-        script_->Partition(event.partition, isolated_);
-        // Let the flawed views shrink, as the Ignite failures require.
-        cluster.Settle(sim::Milliseconds(400));
-        break;
-      case EventKind::kHeal:
-        script_->Heal();
-        break;
-      case EventKind::kLock:
-        cluster.Lock(ClientFor(event.side), lock_);
-        break;
-      case EventKind::kUnlock:
-        cluster.Unlock(ClientFor(event.side), lock_);
-        break;
-      default:
-        break;  // the lock service has no KV surface
-    }
-    observer_->Observe();
-  }
-
-  ExecutionResult Finish(const TestCase& test_case) override {
-    locksvc::Cluster& cluster = system_.cluster();
-    ExecutionResult result;
-    result.trace = FormatTestCase(test_case);
-    script_->Heal();
-    cluster.Settle(sim::Seconds(1));
-    observer_->Observe();
-    result.violations = check::CheckBrokenLocks(cluster.history());
-    const sim::TraceLog& trace = system_.Env().simulator().Trace();
-    if (trace.causal()) {
-      std::vector<check::Violation> cascades = check::CheckCascades(trace);
-      result.violations.insert(result.violations.end(), cascades.begin(), cascades.end());
-    }
-    result.found_failure = !result.violations.empty();
-    result.trace_report = observer_->Report();
-    result.coverage = observer_->Finish();
-    return result;
-  }
-
-  std::unique_ptr<SystemState> Snapshot() const override {
-    auto state = std::make_unique<LocksvcRunnerState>();
-    state->system = system_.Snapshot();
-    if (state->system == nullptr) {
-      return nullptr;
-    }
-    state->script = script_->CaptureState();
-    state->observer = observer_->CaptureState();
-    return state;
-  }
-
-  void Restore(const SystemState& state) override {
-    const auto* runner_state = dynamic_cast<const LocksvcRunnerState*>(&state);
-    assert(runner_state != nullptr && "locksvc runner restore needs a locksvc runner state");
-    system_.Restore(*runner_state->system);
-    script_->RestoreState(runner_state->script);
-    observer_->RestoreState(runner_state->observer);
-  }
-
- private:
-  static constexpr int kMinorityClient = 0;
-  static constexpr int kMajorityClient = 1;
-
-  static locksvc::Cluster::Config MakeConfig(const locksvc::Options& options, uint64_t seed) {
-    locksvc::Cluster::Config config;
+  static Cluster::Config MakeConfig(const Options& options, uint64_t seed) {
+    Cluster::Config config;
     config.options = options;
     config.num_clients = 2;
     config.seed = seed;
     return config;
   }
 
-  int ClientFor(Side side) {
-    locksvc::Cluster& cluster = system_.cluster();
-    if (side == Side::kMinority && script_->partitioned()) {
+  explicit LocksvcDriver(Cluster& cluster) : isolated_(cluster.server_ids().back()) {
+    cluster.Settle(sim::Milliseconds(300));
+  }
+
+  void Boot(Cluster& cluster) const {
+    cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(500));
+    cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(500));
+  }
+
+  net::Group Universe(const Cluster& cluster) const { return cluster.server_ids(); }
+
+  void Partition(Cluster& cluster, const TestEvent& event, PartitionScript& script,
+                 Scalars& /*scalars*/) const {
+    script.Partition(event.partition, isolated_);
+    // Let the flawed views shrink, as the Ignite failures require.
+    cluster.Settle(sim::Milliseconds(400));
+  }
+
+  void Client(Cluster& cluster, const TestEvent& event, const PartitionScript& script,
+              Scalars& /*scalars*/) const {
+    switch (event.kind) {
+      case EventKind::kLock:
+        cluster.Lock(ClientFor(cluster, event.side, script), kLock);
+        break;
+      case EventKind::kUnlock:
+        cluster.Unlock(ClientFor(cluster, event.side, script), kLock);
+        break;
+      default:
+        break;  // the lock service has no KV surface
+    }
+  }
+
+  void FinalOps(Cluster& /*cluster*/) const {}
+
+ private:
+  static constexpr char kLock[] = "L";
+
+  int ClientFor(Cluster& cluster, Side side, const PartitionScript& script) const {
+    if (side == Side::kMinority && script.partitioned()) {
       cluster.client(kMinorityClient).set_contact(isolated_);
       return kMinorityClient;
     }
     net::NodeId contact = cluster.server_ids().front();
-    if (script_->partitioned() && contact == isolated_) {
+    if (script.partitioned() && contact == isolated_) {
       contact = cluster.server_ids()[1];
     }
     cluster.client(kMajorityClient).set_contact(contact);
     return kMajorityClient;
   }
 
-  LocksvcSystem system_;
-  std::optional<StateObserver> observer_;
-  std::optional<PartitionScript> script_;
-  // detlint: allow(snapshot-field): chosen once during Setup and constant thereafter; forks never change the victim
-  net::NodeId isolated_ = net::kInvalidNode;
-  const std::string lock_ = "L";
+  // Every partition isolates the same replica, so forks never change the
+  // victim.
+  const net::NodeId isolated_;
 };
 
-struct RaftKvRunnerState : SystemState {
-  std::unique_ptr<SystemState> system;
-  PartitionScript::State script;
-  StateObserver::State observer;
-  net::Group minority_side;
-  bool slept_for_election = false;
-  int value_counter = 0;
-};
+// The linearizability checker as a history checker: one violation when the
+// history has no linearization.
+std::vector<check::Violation> CheckLinearizability(const check::History& history) {
+  const check::LinearizabilityResult linearizable = check::CheckLinearizable(history);
+  if (linearizable.linearizable) {
+    return {};
+  }
+  check::Violation violation;
+  violation.impact = "non-linearizable";
+  violation.description = linearizable.reason;
+  return {std::move(violation)};
+}
 
-class RaftKvRunner : public CaseRunner {
+class RaftKvDriver {
  public:
-  RaftKvRunner(const raftkv::Options& options, uint64_t seed)
-      : system_(MakeConfig(options, seed)) {
-    raftkv::Cluster& cluster = system_.cluster();
-    initial_leader_ = cluster.WaitForLeader();
-    observer_.emplace(system_, system_.Env().simulator().Trace());
-    cluster.client(kMinorityClient).set_allow_redirect(false);
-    cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(800));
-    cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(800));
-    cluster.client(kAdminClient).set_allow_redirect(false);
-    cluster.client(kAdminClient).set_op_timeout(sim::Milliseconds(800));
-    script_.emplace(cluster.env(), cluster.server_ids());
-  }
+  using Cluster = raftkv::Cluster;
+  using System = RaftKvSystem;
+  using Options = raftkv::Options;
+  struct Scalars {
+    // The nodes cut off by the current partition; minority-side client
+    // events contact its first member.
+    net::Group minority_side;
+    bool slept_for_election = false;
+    int value_counter = 0;
+  };
+  static constexpr bool kSettleBeforeHeal = true;
+  static constexpr bool kObserveFinalOps = false;
+  // raftkv promises strong consistency, so stale reads count.
+  static constexpr Checker kCheckers[] = {check::CheckDirtyReads, check::CheckDataLoss,
+                                          check::CheckReappearance, check::CheckStaleReads,
+                                          CheckLinearizability};
 
-  TestEnv& Env() override { return system_.Env(); }
-  ISystem* System() override { return &system_; }
-
-  void ApplyEvent(const TestEvent& event) override {
-    raftkv::Cluster& cluster = system_.cluster();
-    const net::Group servers = cluster.server_ids();
-    switch (event.kind) {
-      case EventKind::kPartition: {
-        net::NodeId leader = initial_leader_;
-        const std::vector<net::NodeId> leaders = cluster.Leaders();
-        if (!leaders.empty()) {
-          leader = leaders.front();
-        }
-        if (event.partition == PartitionKind::kPartial) {
-          // RethinkDB #5289: orphan two replicas behind the cut, keep the
-          // leader plus one replica, leave one bridge replica reaching
-          // both sides — then the admin removes everything beyond the
-          // leader pair while the partition is up. With
-          // delete_log_on_removal, the bridge wipes its log and votes the
-          // orphaned side a second, amnesiac majority.
-          const net::Group others = net::Partitioner::Rest(servers, {leader});
-          const net::Group keep = {leader, others[1]};
-          const net::Group orphaned = {others[2], others[3]};
-          script_->PartitionGroups(PartitionKind::kPartial, orphaned, keep);
-          minority_side_ = orphaned;
-          cluster.Settle(sim::Milliseconds(100));
-          cluster.client(kAdminClient).set_contact(leader);
-          cluster.ChangeMembers(kAdminClient, keep);
-          cluster.Settle(sim::Seconds(1));
-        } else {
-          const net::NodeId isolated =
-              event.target == IsolationTarget::kLeader ? leader : servers.back();
-          script_->Partition(event.partition, isolated);
-          minority_side_ = {isolated};
-        }
-        slept_for_election_ = false;
-        break;
-      }
-      case EventKind::kHeal:
-        script_->Heal();
-        break;
-      case EventKind::kWrite:
-        cluster.Put(ClientFor(event.side), key_, "v" + std::to_string(++value_counter_));
-        break;
-      case EventKind::kRead:
-        cluster.Get(ClientFor(event.side), key_);
-        break;
-      case EventKind::kDelete:
-        cluster.Delete(ClientFor(event.side), key_);
-        break;
-      case EventKind::kLock:
-      case EventKind::kUnlock:
-        break;  // no lock surface
-    }
-    observer_->Observe();
-  }
-
-  ExecutionResult Finish(const TestCase& test_case) override {
-    raftkv::Cluster& cluster = system_.cluster();
-    ExecutionResult result;
-    result.trace = FormatTestCase(test_case);
-    if (script_->partitioned()) {
-      cluster.Settle(sim::Milliseconds(800));
-      script_->Heal();
-    }
-    cluster.Settle(sim::Seconds(1));
-    observer_->Observe();
-    cluster.client(kMajorityClient).set_contact(cluster.server_ids().front());
-    cluster.Get(kMajorityClient, key_, /*final_read=*/true);
-
-    const check::History& history = cluster.history();
-    auto add = [&result](std::vector<check::Violation> violations) {
-      result.violations.insert(result.violations.end(), violations.begin(), violations.end());
-    };
-    add(check::CheckDirtyReads(history));
-    add(check::CheckDataLoss(history));
-    add(check::CheckReappearance(history));
-    add(check::CheckStaleReads(history));  // raftkv promises strong consistency
-    const check::LinearizabilityResult linearizable = check::CheckLinearizable(history);
-    if (!linearizable.linearizable) {
-      check::Violation violation;
-      violation.impact = "non-linearizable";
-      violation.description = linearizable.reason;
-      result.violations.push_back(std::move(violation));
-    }
-    const sim::TraceLog& trace = system_.Env().simulator().Trace();
-    if (trace.causal()) {
-      add(check::CheckCascades(trace));
-    }
-    result.found_failure = !result.violations.empty();
-    result.trace_report = observer_->Report();
-    result.coverage = observer_->Finish();
-    return result;
-  }
-
-  std::unique_ptr<SystemState> Snapshot() const override {
-    auto state = std::make_unique<RaftKvRunnerState>();
-    state->system = system_.Snapshot();
-    if (state->system == nullptr) {
-      return nullptr;
-    }
-    state->script = script_->CaptureState();
-    state->observer = observer_->CaptureState();
-    state->minority_side = minority_side_;
-    state->slept_for_election = slept_for_election_;
-    state->value_counter = value_counter_;
-    return state;
-  }
-
-  void Restore(const SystemState& state) override {
-    const auto* runner_state = dynamic_cast<const RaftKvRunnerState*>(&state);
-    assert(runner_state != nullptr && "raftkv runner restore needs a raftkv runner state");
-    system_.Restore(*runner_state->system);
-    script_->RestoreState(runner_state->script);
-    observer_->RestoreState(runner_state->observer);
-    minority_side_ = runner_state->minority_side;
-    slept_for_election_ = runner_state->slept_for_election;
-    value_counter_ = runner_state->value_counter;
-  }
-
- private:
-  static constexpr int kMinorityClient = 0;
-  static constexpr int kMajorityClient = 1;
-  static constexpr int kAdminClient = 2;
-
-  static raftkv::Cluster::Config MakeConfig(const raftkv::Options& options, uint64_t seed) {
-    raftkv::Cluster::Config config;
+  static Cluster::Config MakeConfig(const Options& options, uint64_t seed) {
+    Cluster::Config config;
     config.options = options;
     config.num_servers = 5;  // the #5289 topology needs an orphaned pair
     config.num_clients = 3;
@@ -760,21 +606,80 @@ class RaftKvRunner : public CaseRunner {
     return config;
   }
 
-  int ClientFor(Side side) {
-    raftkv::Cluster& cluster = system_.cluster();
-    if (side == Side::kMinority && script_->partitioned() && !minority_side_.empty()) {
-      cluster.client(kMinorityClient).set_contact(minority_side_.front());
+  explicit RaftKvDriver(Cluster& cluster) : initial_leader_(cluster.WaitForLeader()) {}
+
+  void Boot(Cluster& cluster) const {
+    cluster.client(kMinorityClient).set_allow_redirect(false);
+    cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(800));
+    cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(800));
+    cluster.client(kAdminClient).set_allow_redirect(false);
+    cluster.client(kAdminClient).set_op_timeout(sim::Milliseconds(800));
+  }
+
+  net::Group Universe(const Cluster& cluster) const { return cluster.server_ids(); }
+
+  void Partition(Cluster& cluster, const TestEvent& event, PartitionScript& script,
+                 Scalars& scalars) const {
+    const net::Group servers = cluster.server_ids();
+    net::NodeId leader = initial_leader_;
+    const std::vector<net::NodeId> leaders = cluster.Leaders();
+    if (!leaders.empty()) {
+      leader = leaders.front();
+    }
+    if (event.partition == PartitionKind::kPartial) {
+      // RethinkDB #5289: orphan two replicas behind the cut, keep the
+      // leader plus one replica, leave one bridge replica reaching both
+      // sides — then the admin removes everything beyond the leader pair
+      // while the partition is up. With delete_log_on_removal, the bridge
+      // wipes its log and votes the orphaned side a second, amnesiac
+      // majority.
+      const net::Group others = net::Partitioner::Rest(servers, {leader});
+      const net::Group keep = {leader, others[1]};
+      const net::Group orphaned = {others[2], others[3]};
+      script.PartitionGroups(PartitionKind::kPartial, orphaned, keep);
+      scalars.minority_side = orphaned;
+      cluster.Settle(sim::Milliseconds(100));
+      cluster.client(kAdminClient).set_contact(leader);
+      cluster.ChangeMembers(kAdminClient, keep);
+      cluster.Settle(sim::Seconds(1));
+    } else {
+      const net::NodeId isolated =
+          event.target == IsolationTarget::kLeader ? leader : servers.back();
+      script.Partition(event.partition, isolated);
+      scalars.minority_side = {isolated};
+    }
+    scalars.slept_for_election = false;
+  }
+
+  void Client(Cluster& cluster, const TestEvent& event, const PartitionScript& script,
+              Scalars& scalars) const {
+    ApplyKvEvent(cluster, event, scalars.value_counter,
+                 [&] { return ClientFor(cluster, event.side, script, scalars); });
+  }
+
+  void FinalOps(Cluster& cluster) const {
+    cluster.client(kMajorityClient).set_contact(cluster.server_ids().front());
+    cluster.Get(kMajorityClient, kKey, /*final_read=*/true);
+  }
+
+ private:
+  static constexpr int kAdminClient = 2;
+
+  int ClientFor(Cluster& cluster, Side side, const PartitionScript& script,
+                Scalars& scalars) const {
+    if (side == Side::kMinority && script.partitioned() && !scalars.minority_side.empty()) {
+      cluster.client(kMinorityClient).set_contact(scalars.minority_side.front());
       return kMinorityClient;
     }
-    if (script_->partitioned() && !slept_for_election_) {
+    if (script.partitioned() && !scalars.slept_for_election) {
       cluster.Settle(sim::Milliseconds(700));
-      slept_for_election_ = true;
+      scalars.slept_for_election = true;
     }
     net::NodeId contact = initial_leader_;
     const std::vector<net::NodeId> leaders = cluster.Leaders();
     for (const net::NodeId leader : leaders) {
-      if (std::find(minority_side_.begin(), minority_side_.end(), leader) ==
-          minority_side_.end()) {
+      if (std::find(scalars.minority_side.begin(), scalars.minority_side.end(), leader) ==
+          scalars.minority_side.end()) {
         contact = leader;
         break;
       }
@@ -783,98 +688,87 @@ class RaftKvRunner : public CaseRunner {
     return kMajorityClient;
   }
 
-  RaftKvSystem system_;
-  std::optional<StateObserver> observer_;
-  std::optional<PartitionScript> script_;
-  // detlint: allow(snapshot-field): fixed after Setup elects the initial leader; constant across forks
-  net::NodeId initial_leader_ = net::kInvalidNode;  // fixed after setup
-  // The nodes cut off by the current partition; minority-side client
-  // events contact its first member.
-  net::Group minority_side_;
-  bool slept_for_election_ = false;
-  int value_counter_ = 0;
-  const std::string key_ = "k";
+  const net::NodeId initial_leader_;  // elected during boot
 };
 
-struct MqueueRunnerState : SystemState {
-  std::unique_ptr<SystemState> system;
-  PartitionScript::State script;
-  StateObserver::State observer;
-  bool slept_for_takeover = false;
-  int value_counter = 0;
-};
-
-class MqueueRunner : public CaseRunner {
+class MqueueDriver {
  public:
-  MqueueRunner(const mqueue::Options& options, uint64_t seed)
-      : system_(MakeConfig(options, seed)) {
-    mqueue::Cluster& cluster = system_.cluster();
+  using Cluster = mqueue::Cluster;
+  using System = MqueueSystem;
+  using Options = mqueue::Options;
+  struct Scalars {
+    bool slept_for_takeover = false;
+    int value_counter = 0;
+  };
+  static constexpr bool kSettleBeforeHeal = true;
+  static constexpr bool kObserveFinalOps = true;
+  static constexpr Checker kCheckers[] = {check::CheckDoubleDequeue, check::CheckLostMessages};
+
+  static Cluster::Config MakeConfig(const Options& options, uint64_t seed) {
+    Cluster::Config config;
+    config.options = options;
+    config.num_clients = 2;
+    config.seed = seed;
+    return config;
+  }
+
+  explicit MqueueDriver(Cluster& cluster) {
     cluster.Settle(sim::Milliseconds(500));  // first master election via the registry
-    observer_.emplace(system_, system_.Env().simulator().Trace());
+  }
+
+  void Boot(Cluster& cluster) const {
     cluster.client(kMinorityClient).set_op_timeout(sim::Milliseconds(500));
     cluster.client(kMajorityClient).set_op_timeout(sim::Milliseconds(500));
     // One fully replicated message before any fault: partition-first pruning
     // leaves no room for a pre-partition enqueue inside the case, but the
     // double-dequeue flaw needs a message both sides of the cut believe they
     // hold.
-    cluster.Send(kMajorityClient, queue_, "m0");
+    cluster.Send(kMajorityClient, kQueue, "m0");
     cluster.Settle(sim::Milliseconds(300));
-    // The partition universe includes the coordination service, which always
-    // rides the majority side: an isolated master's session expires there
-    // and the survivors elect a replacement (Figure 6).
-    net::Group universe = cluster.broker_ids();
-    universe.push_back(cluster.zk_id());
-    script_.emplace(cluster.env(), universe);
   }
 
-  TestEnv& Env() override { return system_.Env(); }
-  ISystem* System() override { return &system_; }
+  // The partition universe includes the coordination service, which always
+  // rides the majority side: an isolated master's session expires there
+  // and the survivors elect a replacement (Figure 6).
+  net::Group Universe(const Cluster& cluster) const {
+    net::Group universe = cluster.broker_ids();
+    universe.push_back(cluster.zk_id());
+    return universe;
+  }
 
-  void ApplyEvent(const TestEvent& event) override {
-    mqueue::Cluster& cluster = system_.cluster();
-    switch (event.kind) {
-      case EventKind::kPartition: {
-        net::NodeId isolated = cluster.MasterPerRegistry();
-        if (event.target == IsolationTarget::kAnyReplica || isolated == net::kInvalidNode) {
-          // A non-master broker (the last one that is not master).
-          for (const net::NodeId broker : cluster.broker_ids()) {
-            if (broker != cluster.MasterPerRegistry()) {
-              isolated = broker;
-            }
-          }
+  void Partition(Cluster& cluster, const TestEvent& event, PartitionScript& script,
+                 Scalars& scalars) const {
+    net::NodeId isolated = cluster.MasterPerRegistry();
+    if (event.target == IsolationTarget::kAnyReplica || isolated == net::kInvalidNode) {
+      // A non-master broker (the last one that is not master).
+      for (const net::NodeId broker : cluster.broker_ids()) {
+        if (broker != cluster.MasterPerRegistry()) {
+          isolated = broker;
         }
-        script_->Partition(event.partition, isolated);
-        slept_for_takeover_ = false;
-        break;
       }
-      case EventKind::kHeal:
-        script_->Heal();
-        break;
+    }
+    script.Partition(event.partition, isolated);
+    scalars.slept_for_takeover = false;
+  }
+
+  void Client(Cluster& cluster, const TestEvent& event, const PartitionScript& script,
+              Scalars& scalars) const {
+    switch (event.kind) {
       case EventKind::kWrite:
-        cluster.Send(ClientFor(event.side), queue_, "m" + std::to_string(++value_counter_));
+        cluster.Send(ClientFor(cluster, event.side, script, scalars), kQueue,
+                     "m" + std::to_string(++scalars.value_counter));
         break;
       case EventKind::kRead:
-        cluster.Receive(ClientFor(event.side), queue_);
+        cluster.Receive(ClientFor(cluster, event.side, script, scalars), kQueue);
         break;
       default:
         break;  // no KV/lock surface
     }
-    observer_->Observe();
   }
 
-  ExecutionResult Finish(const TestCase& test_case) override {
-    mqueue::Cluster& cluster = system_.cluster();
-    ExecutionResult result;
-    result.trace = FormatTestCase(test_case);
-    if (script_->partitioned()) {
-      cluster.Settle(sim::Milliseconds(800));
-      script_->Heal();
-    }
-    cluster.Settle(sim::Seconds(1));
-    observer_->Observe();
-
-    // Drain the healed cluster's queue so the lost-message checker sees the
-    // final state; drained values also complete the double-dequeue pattern.
+  // Drains the healed cluster's queue so the lost-message checker sees the
+  // final state; drained values also complete the double-dequeue pattern.
+  void FinalOps(Cluster& cluster) const {
     net::NodeId master = cluster.MasterPerRegistry();
     if (master == net::kInvalidNode) {
       master = cluster.broker_ids().front();
@@ -882,79 +776,31 @@ class MqueueRunner : public CaseRunner {
     cluster.client(kMajorityClient).set_contact(master);
     for (int i = 0; i < 8; ++i) {
       const check::Operation drained =
-          cluster.Receive(kMajorityClient, queue_, /*final_drain=*/true);
+          cluster.Receive(kMajorityClient, kQueue, /*final_drain=*/true);
       if (drained.status != check::OpStatus::kOk || drained.value.empty()) {
         break;
       }
     }
-    observer_->Observe();
-
-    const check::History& history = cluster.history();
-    auto add = [&result](std::vector<check::Violation> violations) {
-      result.violations.insert(result.violations.end(), violations.begin(), violations.end());
-    };
-    add(check::CheckDoubleDequeue(history));
-    add(check::CheckLostMessages(history));
-    const sim::TraceLog& trace = system_.Env().simulator().Trace();
-    if (trace.causal()) {
-      add(check::CheckCascades(trace));
-    }
-    result.found_failure = !result.violations.empty();
-    result.trace_report = observer_->Report();
-    result.coverage = observer_->Finish();
-    return result;
-  }
-
-  std::unique_ptr<SystemState> Snapshot() const override {
-    auto state = std::make_unique<MqueueRunnerState>();
-    state->system = system_.Snapshot();
-    if (state->system == nullptr) {
-      return nullptr;
-    }
-    state->script = script_->CaptureState();
-    state->observer = observer_->CaptureState();
-    state->slept_for_takeover = slept_for_takeover_;
-    state->value_counter = value_counter_;
-    return state;
-  }
-
-  void Restore(const SystemState& state) override {
-    const auto* runner_state = dynamic_cast<const MqueueRunnerState*>(&state);
-    assert(runner_state != nullptr && "mqueue runner restore needs an mqueue runner state");
-    system_.Restore(*runner_state->system);
-    script_->RestoreState(runner_state->script);
-    observer_->RestoreState(runner_state->observer);
-    slept_for_takeover_ = runner_state->slept_for_takeover;
-    value_counter_ = runner_state->value_counter;
   }
 
  private:
-  static constexpr int kMinorityClient = 0;
-  static constexpr int kMajorityClient = 1;
+  static constexpr char kQueue[] = "q";
 
-  static mqueue::Cluster::Config MakeConfig(const mqueue::Options& options, uint64_t seed) {
-    mqueue::Cluster::Config config;
-    config.options = options;
-    config.num_clients = 2;
-    config.seed = seed;
-    return config;
-  }
-
-  int ClientFor(Side side) {
-    mqueue::Cluster& cluster = system_.cluster();
-    if (side == Side::kMinority && script_->partitioned()) {
-      cluster.client(kMinorityClient).set_contact(script_->isolated());
+  static int ClientFor(Cluster& cluster, Side side, const PartitionScript& script,
+                       Scalars& scalars) {
+    if (side == Side::kMinority && script.partitioned()) {
+      cluster.client(kMinorityClient).set_contact(script.isolated());
       return kMinorityClient;
     }
-    if (script_->partitioned() && !slept_for_takeover_) {
+    if (script.partitioned() && !scalars.slept_for_takeover) {
       // Wait out the session timeout so the surviving brokers take over.
       cluster.Settle(sim::Milliseconds(800));
-      slept_for_takeover_ = true;
+      scalars.slept_for_takeover = true;
     }
     net::NodeId contact = cluster.MasterPerRegistry();
-    if (contact == net::kInvalidNode || contact == script_->isolated()) {
+    if (contact == net::kInvalidNode || contact == script.isolated()) {
       for (const net::NodeId broker : cluster.broker_ids()) {
-        if (broker != script_->isolated()) {
+        if (broker != script.isolated()) {
           contact = broker;
           break;
         }
@@ -963,189 +809,94 @@ class MqueueRunner : public CaseRunner {
     cluster.client(kMajorityClient).set_contact(contact);
     return kMajorityClient;
   }
-
-  MqueueSystem system_;
-  std::optional<StateObserver> observer_;
-  std::optional<PartitionScript> script_;
-  bool slept_for_takeover_ = false;
-  int value_counter_ = 0;
-  const std::string queue_ = "q";
 };
 
-// Drives a fresh runner straight through a case — the classic full-replay
-// execution the Run*TestCase functions promise.
-template <typename Runner, typename... Args>
-ExecutionResult RunStraightThrough(const TestCase& test_case, Args&&... args) {
-  Runner runner(std::forward<Args>(args)...);
-  for (const TestEvent& event : test_case) {
-    runner.ApplyEvent(event);
+// --- the system registry ---
+
+template <class Driver>
+struct Preset {
+  const char* name;
+  typename Driver::Options (*options)();
+};
+
+// One registry row: the presets by name, the correct options, and runner
+// factories for the system's driver.
+template <class Driver>
+SystemEntry Row(const char* name, std::vector<Preset<Driver>> presets,
+                typename Driver::Options (*correct)()) {
+  SystemEntry row{name, {}, typeid(typename Driver::System), nullptr};
+  for (const Preset<Driver>& preset : presets) {
+    row.presets.push_back(preset.name);
   }
-  return runner.Finish(test_case);
+  row.factory = [presets, correct](Variant variant, const std::string& preset, bool causal) {
+    const Preset<Driver>* chosen = &presets.front();
+    for (const Preset<Driver>& candidate : presets) {
+      if (preset == candidate.name) {
+        chosen = &candidate;
+      }
+    }
+    typename Driver::Options options =
+        variant == Variant::kCorrect ? correct() : chosen->options();
+    options.causal_trace = causal;
+    return Factory<Driver>(options);
+  };
+  return row;
 }
 
 }  // namespace
 
-ExecutionResult RunPbkvTestCase(const pbkv::Options& options, const TestCase& test_case,
-                                uint64_t seed, bool strong) {
-  return RunStraightThrough<PbkvRunner>(test_case, options, seed, strong);
-}
-
-ExecutionResult RunLocksvcTestCase(const locksvc::Options& options, const TestCase& test_case,
-                                   uint64_t seed) {
-  return RunStraightThrough<LocksvcRunner>(test_case, options, seed);
-}
-
-ExecutionResult RunRaftKvTestCase(const raftkv::Options& options, const TestCase& test_case,
-                                  uint64_t seed) {
-  return RunStraightThrough<RaftKvRunner>(test_case, options, seed);
-}
-
-ExecutionResult RunMqueueTestCase(const mqueue::Options& options, const TestCase& test_case,
-                                  uint64_t seed) {
-  return RunStraightThrough<MqueueRunner>(test_case, options, seed);
-}
-
-// --- fork-executor runner factories ---
-
-RunnerFactory PbkvRunnerFactory(const pbkv::Options& options, bool strong) {
-  return [options, strong](uint64_t seed) -> std::unique_ptr<CaseRunner> {
-    return std::make_unique<PbkvRunner>(options, seed, strong);
+const std::vector<SystemEntry>& Systems() {
+  static const std::vector<SystemEntry> rows = {
+      Row<PbkvDriver>("pbkv",
+                      {{"voltdb", pbkv::VoltDbOptions},
+                       {"elasticsearch", pbkv::ElasticsearchOptions},
+                       {"mongo-arbiter", pbkv::MongoArbiterOptions},
+                       {"mongo-conflicting-criteria", pbkv::MongoConflictingCriteriaOptions},
+                       {"async-replication", pbkv::AsyncReplicationOptions},
+                       {"coordinator-routing", pbkv::CoordinatorRoutingOptions}},
+                      pbkv::CorrectOptions),
+      Row<RaftKvDriver>("raftkv", {{"rethinkdb", raftkv::RethinkDbOptions}},
+                        raftkv::CorrectOptions),
+      Row<LocksvcDriver>("locksvc", {{"ignite", locksvc::IgniteOptions}},
+                         locksvc::CorrectOptions),
+      Row<MqueueDriver>("mqueue", {{"activemq", mqueue::ActiveMqOptions}},
+                        mqueue::CorrectOptions),
   };
+  return rows;
+}
+
+const SystemEntry* FindSystem(const std::string& name) {
+  for (const SystemEntry& row : Systems()) {
+    if (row.name == name) {
+      return &row;
+    }
+  }
+  return nullptr;
+}
+
+std::string SystemName(const ISystem& system) {
+  for (const SystemEntry& row : Systems()) {
+    if (row.system == typeid(system)) {
+      return row.name;
+    }
+  }
+  return "";
+}
+
+RunnerFactory PbkvRunnerFactory(const pbkv::Options& options) {
+  return Factory<PbkvDriver>(options);
 }
 
 RunnerFactory LocksvcRunnerFactory(const locksvc::Options& options) {
-  return [options](uint64_t seed) -> std::unique_ptr<CaseRunner> {
-    return std::make_unique<LocksvcRunner>(options, seed);
-  };
+  return Factory<LocksvcDriver>(options);
 }
 
 RunnerFactory RaftKvRunnerFactory(const raftkv::Options& options) {
-  return [options](uint64_t seed) -> std::unique_ptr<CaseRunner> {
-    return std::make_unique<RaftKvRunner>(options, seed);
-  };
+  return Factory<RaftKvDriver>(options);
 }
 
 RunnerFactory MqueueRunnerFactory(const mqueue::Options& options) {
-  return [options](uint64_t seed) -> std::unique_ptr<CaseRunner> {
-    return std::make_unique<MqueueRunner>(options, seed);
-  };
-}
-
-// --- system factories ---
-
-SystemFactory MakePbkvFactory(const pbkv::Options& options) {
-  return [options](uint64_t seed) -> std::unique_ptr<ISystem> {
-    pbkv::Cluster::Config config;
-    config.options = options;
-    config.seed = seed;
-    return std::make_unique<PbkvSystem>(config);
-  };
-}
-
-SystemFactory MakeRaftKvFactory(int num_servers) {
-  return [num_servers](uint64_t seed) -> std::unique_ptr<ISystem> {
-    raftkv::Cluster::Config config;
-    config.num_servers = num_servers;
-    config.seed = seed;
-    return std::make_unique<RaftKvSystem>(config);
-  };
-}
-
-SystemFactory MakeLocksvcFactory(const locksvc::Options& options) {
-  return [options](uint64_t seed) -> std::unique_ptr<ISystem> {
-    locksvc::Cluster::Config config;
-    config.options = options;
-    config.seed = seed;
-    return std::make_unique<LocksvcSystem>(config);
-  };
-}
-
-SystemFactory MakeMqueueFactory() {
-  return [](uint64_t seed) -> std::unique_ptr<ISystem> {
-    mqueue::Cluster::Config config;
-    config.seed = seed;
-    return std::make_unique<MqueueSystem>(config);
-  };
-}
-
-SystemFactory MakeSchedFactory() {
-  return [](uint64_t seed) -> std::unique_ptr<ISystem> {
-    sched::Cluster::Config config;
-    config.seed = seed;
-    return std::make_unique<SchedSystem>(config);
-  };
-}
-
-// --- campaign executors ---
-
-CaseExecutor PbkvCaseExecutor(const pbkv::Options& options, bool strong) {
-  return [options, strong](const TestCase& test_case, uint64_t seed) {
-    return RunPbkvTestCase(options, test_case, seed, strong);
-  };
-}
-
-CaseExecutor LocksvcCaseExecutor(const locksvc::Options& options) {
-  return [options](const TestCase& test_case, uint64_t seed) {
-    return RunLocksvcTestCase(options, test_case, seed);
-  };
-}
-
-CaseExecutor RaftKvCaseExecutor(const raftkv::Options& options) {
-  return [options](const TestCase& test_case, uint64_t seed) {
-    return RunRaftKvTestCase(options, test_case, seed);
-  };
-}
-
-CaseExecutor MqueueCaseExecutor(const mqueue::Options& options) {
-  return [options](const TestCase& test_case, uint64_t seed) {
-    return RunMqueueTestCase(options, test_case, seed);
-  };
-}
-
-CaseExecutor StatusProbeExecutor(SystemFactory factory) {
-  return [factory = std::move(factory)](const TestCase& test_case, uint64_t seed) {
-    std::unique_ptr<ISystem> system = factory(seed);
-    TestEnv& env = system->Env();
-    env.Sleep(sim::Milliseconds(500));
-
-    ExecutionResult result;
-    result.trace = FormatTestCase(test_case);
-    StateObserver observer(*system, env.simulator().Trace());
-
-    PartitionScript script(env, system->Servers());
-    const net::NodeId isolated = system->Servers().back();
-    for (const TestEvent& event : test_case) {
-      switch (event.kind) {
-        case EventKind::kPartition:
-          script.Partition(event.partition, isolated);
-          env.Sleep(sim::Milliseconds(400));
-          break;
-        case EventKind::kHeal:
-          script.Heal();
-          break;
-        default:
-          break;  // no generic client surface; client events are skipped
-      }
-      observer.Observe();
-    }
-    if (script.partitioned()) {
-      env.Sleep(sim::Milliseconds(800));
-      script.Heal();
-    }
-    env.Sleep(sim::Seconds(1));
-    observer.Observe();
-    if (!system->GetStatus()) {
-      check::Violation violation;
-      violation.impact = "data unavailability";
-      violation.description =
-          system->Name() + " cannot make progress after the partition healed";
-      result.violations.push_back(std::move(violation));
-    }
-    result.found_failure = !result.violations.empty();
-    result.trace_report = observer.Report();
-    result.coverage = observer.Finish();
-    return result;
-  };
+  return Factory<MqueueDriver>(options);
 }
 
 }  // namespace neat

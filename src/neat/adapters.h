@@ -1,207 +1,111 @@
-// ISystem adapters for the model systems, plus the executors that run
+// ISystem adapters for the model systems, plus the case runners that drive
 // generated test cases (neat/testgen.h) against them. Together these are
 // the "seven systems tested with NEAT" layer of the paper, scaled to the
-// systems this repository implements. Executors plug into the campaign
-// runner (neat/campaign.h) through the SystemFactory/CaseExecutor
-// interface, so a sweep can target any model system.
+// systems this repository implements. Runner factories plug into the
+// fork executor (neat/fork.h) directly and into the campaign runner
+// (neat/campaign.h) through ReplayExecutor, so a sweep can target any
+// model system; the system registry (neat/registry.h) names them.
 
 #ifndef NEAT_ADAPTERS_H_
 #define NEAT_ADAPTERS_H_
 
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "check/checkers.h"
-#include "neat/campaign.h"
 #include "neat/fork.h"
+#include "neat/registry.h"
 #include "neat/system.h"
-#include "neat/testgen.h"
 #include "systems/locksvc/cluster.h"
 #include "systems/mqueue/cluster.h"
 #include "systems/pbkv/cluster.h"
 #include "systems/raftkv/cluster.h"
-#include "systems/sched/cluster.h"
 
 namespace neat {
 
-class PbkvSystem : public ISystem {
+// The parts every cluster-backed adapter shares: the owned cluster, its
+// environment, crash-all shutdown, and snapshots that wrap the cluster's
+// CaptureState (environment plus every process). Name() reads the key of
+// the registry row whose runners drive this adapter type.
+template <class Cluster>
+class ClusterSystem : public ISystem {
  public:
-  explicit PbkvSystem(const pbkv::Cluster::Config& config) : cluster_(config) {}
-  std::string Name() const override { return "pbkv"; }
+  explicit ClusterSystem(const typename Cluster::Config& config) : cluster_(config) {}
+  std::string Name() const override { return SystemName(*this); }
   TestEnv& Env() override { return cluster_.env(); }
+  void Shutdown() override { cluster_.env().Crash(Servers()); }
+  std::unique_ptr<SystemState> Snapshot() const override;
+  void Restore(const SystemState& state) override;
+  Cluster& cluster() { return cluster_; }
+  const Cluster& cluster() const { return cluster_; }
+
+ protected:
+  Cluster cluster_;
+};
+
+class PbkvSystem final : public ClusterSystem<pbkv::Cluster> {
+ public:
+  using ClusterSystem::ClusterSystem;
   net::Group Servers() const override { return cluster_.server_ids(); }
   bool GetStatus() override { return cluster_.FindPrimary() != net::kInvalidNode; }
   uint64_t StateDigest() const override;  // who is primary
-  void Shutdown() override { cluster_.env().Crash(cluster_.server_ids()); }
-  std::unique_ptr<SystemState> Snapshot() const override;
-  void Restore(const SystemState& state) override;
-  pbkv::Cluster& cluster() { return cluster_; }
-  const pbkv::Cluster& cluster() const { return cluster_; }
-
- private:
-  pbkv::Cluster cluster_;
 };
 
-class RaftKvSystem : public ISystem {
+class RaftKvSystem final : public ClusterSystem<raftkv::Cluster> {
  public:
-  explicit RaftKvSystem(const raftkv::Cluster::Config& config) : cluster_(config) {}
-  std::string Name() const override { return "raftkv"; }
-  TestEnv& Env() override { return cluster_.env(); }
+  using ClusterSystem::ClusterSystem;
   net::Group Servers() const override { return cluster_.server_ids(); }
   bool GetStatus() override { return !cluster_.Leaders().empty(); }
   uint64_t StateDigest() const override;  // the set of self-believed leaders
-  void Shutdown() override { cluster_.env().Crash(cluster_.server_ids()); }
-  std::unique_ptr<SystemState> Snapshot() const override;
-  void Restore(const SystemState& state) override;
-  raftkv::Cluster& cluster() { return cluster_; }
-  const raftkv::Cluster& cluster() const { return cluster_; }
-
- private:
-  raftkv::Cluster cluster_;
 };
 
-class LocksvcSystem : public ISystem {
+class LocksvcSystem final : public ClusterSystem<locksvc::Cluster> {
  public:
-  explicit LocksvcSystem(const locksvc::Cluster::Config& config) : cluster_(config) {}
-  std::string Name() const override { return "locksvc"; }
-  TestEnv& Env() override { return cluster_.env(); }
+  using ClusterSystem::ClusterSystem;
   net::Group Servers() const override { return cluster_.server_ids(); }
+  // Healthy when a lock round-trip works end to end. Probe lock names are
+  // numbered by the history length, so a restored instance reuses the
+  // same sequence.
   bool GetStatus() override;
   // Per-server membership views. GetStatus() probes with a real lock
   // round-trip and would perturb the run, so the digest reads the views
   // directly instead.
   uint64_t StateDigest() const override;
-  void Shutdown() override { cluster_.env().Crash(cluster_.server_ids()); }
-  // The snapshot includes the status-probe counter: probe lock names land
-  // in the history, so a forked run must reuse the same sequence.
-  std::unique_ptr<SystemState> Snapshot() const override;
-  void Restore(const SystemState& state) override;
-  locksvc::Cluster& cluster() { return cluster_; }
-  const locksvc::Cluster& cluster() const { return cluster_; }
-
- private:
-  locksvc::Cluster cluster_;
-  // Per-instance (not static): campaign workers probe concurrently.
-  int status_probe_ = 0;
 };
 
-class MqueueSystem : public ISystem {
+class MqueueSystem final : public ClusterSystem<mqueue::Cluster> {
  public:
-  explicit MqueueSystem(const mqueue::Cluster::Config& config) : cluster_(config) {}
-  std::string Name() const override { return "mqueue"; }
-  TestEnv& Env() override { return cluster_.env(); }
+  using ClusterSystem::ClusterSystem;
   net::Group Servers() const override { return cluster_.broker_ids(); }
   bool GetStatus() override { return cluster_.MasterPerRegistry() != net::kInvalidNode; }
   uint64_t StateDigest() const override;  // registry master + self-believed masters
-  void Shutdown() override { cluster_.env().Crash(cluster_.broker_ids()); }
-  std::unique_ptr<SystemState> Snapshot() const override;
-  void Restore(const SystemState& state) override;
-  mqueue::Cluster& cluster() { return cluster_; }
-  const mqueue::Cluster& cluster() const { return cluster_; }
-
- private:
-  mqueue::Cluster cluster_;
 };
 
-class SchedSystem : public ISystem {
- public:
-  explicit SchedSystem(const sched::Cluster::Config& config) : cluster_(config) {}
-  std::string Name() const override { return "sched"; }
-  TestEnv& Env() override { return cluster_.env(); }
-  net::Group Servers() const override { return cluster_.worker_ids(); }
-  bool GetStatus() override { return !cluster_.rm().crashed(); }
-  // Mirrors the ISystem default's healthy/unhealthy constants (keyed off
-  // the same resource-manager liveness GetStatus reports) so existing sd:
-  // coverage features are unchanged, but through a const read-only probe.
-  uint64_t StateDigest() const override {
-    return !cluster_.rm().crashed() ? 0x9e3779b97f4a7c15ull : 0x94d049bb133111ebull;
-  }
-  void Shutdown() override;
-  sched::Cluster& cluster() { return cluster_; }
+extern template class ClusterSystem<pbkv::Cluster>;
+extern template class ClusterSystem<raftkv::Cluster>;
+extern template class ClusterSystem<locksvc::Cluster>;
+extern template class ClusterSystem<mqueue::Cluster>;
 
- private:
-  sched::Cluster cluster_;
-};
-
-// --- system factories ---
-
-// Builds a fresh, fully booted ISystem for one campaign case. Campaign
-// workers each construct their own instance, so factories must capture only
-// immutable configuration. (ExecutionResult lives in neat/campaign.h.)
-using SystemFactory = std::function<std::unique_ptr<ISystem>(uint64_t seed)>;
-
-SystemFactory MakePbkvFactory(const pbkv::Options& options);
-SystemFactory MakeRaftKvFactory(int num_servers = 3);
-SystemFactory MakeLocksvcFactory(const locksvc::Options& options);
-SystemFactory MakeMqueueFactory();
-SystemFactory MakeSchedFactory();
-
-// --- test-case executors ---
-
-// Wraps the per-system runners below as campaign executors: each call
-// builds a fresh cluster from the captured options, so the returned
-// executor is safe to invoke concurrently from campaign workers.
-CaseExecutor PbkvCaseExecutor(const pbkv::Options& options, bool strong = true);
-CaseExecutor LocksvcCaseExecutor(const locksvc::Options& options);
-CaseExecutor RaftKvCaseExecutor(const raftkv::Options& options);
-CaseExecutor MqueueCaseExecutor(const mqueue::Options& options);
-
-// --- fork-executor runner factories (neat/fork.h) ---
+// --- runner factories ---
 //
-// Each factory builds the same runner the Run*TestCase executors drive,
-// exposed step by step so a ForkingExecutor can snapshot between events
-// and fork suffixes off shared prefixes. A forked run is byte-identical to
-// the corresponding Run*TestCase replay.
-RunnerFactory PbkvRunnerFactory(const pbkv::Options& options, bool strong = true);
+// Each factory builds the system's case runner under the given options:
+// boot and settle in the constructor, one test event per ApplyEvent, and
+// heal / settle / final operations / checkers in Finish. The fork executor
+// drives it with snapshots between events; ReplayExecutor (neat/fork.h)
+// drives a fresh one straight through each case, byte-identically. The
+// drivers in adapters.cc document each system's event mapping.
+//
+// pbkv: KV events through a minority client pinned to the isolated node
+// and a majority client on the survivors; judged for dirty reads, data
+// loss, reappearance and stale reads.
+RunnerFactory PbkvRunnerFactory(const pbkv::Options& options);
+// locksvc: lock/unlock events; judged for broken locks.
 RunnerFactory LocksvcRunnerFactory(const locksvc::Options& options);
+// raftkv (RethinkDB analog): KV events on 5 servers; a partial partition
+// reproduces the #5289 membership cut. Adds the linearizability checker.
 RunnerFactory RaftKvRunnerFactory(const raftkv::Options& options);
+// mqueue (ActiveMQ analog): send/receive events after one pre-fault
+// message; judged for double dequeues and lost messages after a drain.
 RunnerFactory MqueueRunnerFactory(const mqueue::Options& options);
-
-// A system-agnostic executor over any SystemFactory: it drives only the
-// partition/heal events of the test case (client events need a concrete
-// client API and are skipped), heals, and reports "data unavailability"
-// when the healed system cannot make progress (ISystem::GetStatus). The
-// weakest checker — it sees no operation history — but it lets a campaign
-// sweep every model system.
-CaseExecutor StatusProbeExecutor(SystemFactory factory);
-
-// Runs one abstract test case against a fresh pbkv cluster with the given
-// options. Client events on the minority side go through a client pinned to
-// the isolated node; majority-side events go through a client pinned to the
-// surviving majority. After the sequence, the partition is healed, the
-// system settles, final verification reads run, and the checkers scan the
-// history. Stale reads count as failures only under strong consistency
-// (`strong` flag), matching the paper's classification.
-ExecutionResult RunPbkvTestCase(const pbkv::Options& options, const TestCase& test_case,
-                                uint64_t seed, bool strong = true);
-
-// The same executor against the lock service: lock/unlock events map to the
-// locksvc client API, and the broken-locks checker judges the run.
-ExecutionResult RunLocksvcTestCase(const locksvc::Options& options, const TestCase& test_case,
-                                   uint64_t seed);
-
-// The raftkv executor (RethinkDB analog): write/read/delete events map to
-// the KV API on a 5-server cluster. A partial partition reproduces the
-// #5289 topology — two replicas orphaned behind the cut, a bridge replica
-// reaching both sides, and an admin that shrinks the member set to the
-// leader's side while the partition is up (the membership change is part
-// of the fault model, not the event alphabet, mirroring how the paper's
-// RethinkDB failure needs an admin action during the partition). Judged by
-// the KV checkers plus the linearizability checker.
-ExecutionResult RunRaftKvTestCase(const raftkv::Options& options, const TestCase& test_case,
-                                  uint64_t seed);
-
-// The mqueue executor (ActiveMQ analog): write/read events map to
-// send/receive. Setup enqueues one fully replicated message, so a
-// partition-first case can still dequeue on both sides of the cut — the
-// shape of the AMQ-6978 double dequeue. The partition universe includes
-// the coordination service on the majority side (an isolated master's
-// session expires and the survivors elect a replacement, Figure 6), and a
-// final majority-side drain empties the queue for the double-dequeue and
-// lost-message checkers.
-ExecutionResult RunMqueueTestCase(const mqueue::Options& options, const TestCase& test_case,
-                                  uint64_t seed);
 
 }  // namespace neat
 

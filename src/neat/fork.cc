@@ -185,6 +185,16 @@ ExecutionResult ForkingExecutor::Run(const TestCase& test_case, uint64_t seed) {
   return branch.runner->Finish(test_case);
 }
 
+CaseExecutor ReplayExecutor(RunnerFactory factory) {
+  return [factory = std::move(factory)](const TestCase& test_case, uint64_t seed) {
+    std::unique_ptr<CaseRunner> runner = factory(seed);
+    for (const TestEvent& event : test_case) {
+      runner->ApplyEvent(event);
+    }
+    return runner->Finish(test_case);
+  };
+}
+
 CaseExecutor ForkingCaseExecutor(RunnerFactory factory, ForkOptions options,
                                  std::shared_ptr<ForkStats> stats) {
   auto executor = std::make_shared<ForkingExecutor>(std::move(factory), options);

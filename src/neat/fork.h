@@ -32,11 +32,11 @@
 
 namespace neat {
 
-// A live system executing one test case event by event. Splitting the
-// monolithic Run*TestCase executors into construct / ApplyEvent / Finish
-// is what gives the fork executor a place to capture state between events:
-// the constructor performs setup (build the cluster, settle, configure
-// clients), ApplyEvent applies exactly one test event, and Finish runs the
+// A live system executing one test case event by event. Splitting a case
+// execution into construct / ApplyEvent / Finish is what gives the fork
+// executor a place to capture state between events: the constructor
+// performs setup (build the cluster, settle, configure clients),
+// ApplyEvent applies exactly one test event, and Finish runs the
 // post-sequence phase (heal, settle, final verification reads, checkers)
 // and produces the verdict. Finish perturbs the system — callers must
 // Restore before applying further events.
@@ -62,8 +62,9 @@ class CaseRunner {
 
   // Whole-run state at a quiescent point: the system snapshot plus the
   // runner's own step state (installed partition, election-sleep flags,
-  // value counters, the coverage observer). Const by contract — capturing
-  // must not perturb the run (detlint's snapshot-nonconst rule).
+  // value counters, the coverage observer). Const, so capturing cannot
+  // perturb the run; null when the runner cannot fork, in which case the
+  // fork executor replays every case on a fresh runner.
   virtual std::unique_ptr<SystemState> Snapshot() const = 0;
 
   // Rewinds to a state previously captured by Snapshot() on this runner.
@@ -135,6 +136,11 @@ class ForkingExecutor {
   ForkStats stats_;
   uint64_t tick_ = 0;  // LRU clock: bumped per cache touch
 };
+
+// Drives a fresh runner from `factory` straight through each case: the
+// classic full-replay execution, and the reference a forked run must match
+// byte for byte. Stateless between calls, so campaign workers may share it.
+CaseExecutor ReplayExecutor(RunnerFactory factory);
 
 // Wraps a fork executor as a plain CaseExecutor (single-threaded use: the
 // returned callable owns one ForkingExecutor). `stats`, when non-null,

@@ -52,13 +52,10 @@ class ISystem {
   // A digest of the system's externally observable control state right
   // now. Executors sample it between test events; guided campaigns treat
   // digest *transitions* as behavioural coverage (neat/coverage.h).
-  // Adapters override it with read-only state (leader identity, membership
-  // views). The method is const by contract — a digest probe must not
-  // perturb the system (a probe that sends real operations would change
-  // what the run under test does; detlint's digest-nonconst rule enforces
-  // this). The default reports a fixed "no view" value, contributing no
-  // sd: coverage; every shipped adapter overrides it.
-  virtual uint64_t StateDigest() const { return 0x9e3779b97f4a7c15ull; }
+  // Adapters compute it from read-only state (leader identity, membership
+  // views). Const, so a digest probe cannot perturb the system: a probe
+  // that sent real operations would change what the run under test does.
+  virtual uint64_t StateDigest() const = 0;
 
   // Crashes every server node.
   virtual void Shutdown() = 0;
@@ -68,17 +65,12 @@ class ISystem {
   // here (the fork executor, neat/fork.h). Requires the environment
   // simulator to have event retention enabled before the events being
   // rewound over were scheduled (sim::Simulator::SetEventRetention).
-  // Returns nullptr when the system does not support snapshotting; callers
-  // must then fall back to full replay. The method is const by contract —
-  // like StateDigest, a snapshot must not perturb the run (detlint's
-  // snapshot-nonconst rule enforces this).
-  virtual std::unique_ptr<SystemState> Snapshot() const { return nullptr; }
+  // Const, like StateDigest: a snapshot must not perturb the run.
+  virtual std::unique_ptr<SystemState> Snapshot() const = 0;
 
   // Rewinds this instance to a state previously captured by Snapshot() on
-  // the same instance. Only ever called with states this system produced;
-  // the default (for systems whose Snapshot returns nullptr) is unreachable
-  // by that contract and does nothing.
-  virtual void Restore(const SystemState& state) { (void)state; }
+  // the same instance. Only ever called with states this system produced.
+  virtual void Restore(const SystemState& state) = 0;
 };
 
 }  // namespace neat

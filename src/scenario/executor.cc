@@ -1,6 +1,6 @@
 #include "scenario/executor.h"
 
-#include <cassert>
+#include <algorithm>
 #include <iomanip>
 #include <memory>
 #include <sstream>
@@ -39,44 +39,6 @@ class Fnv {
   }
   uint64_t hash_ = 14695981039346656037ull;
 };
-
-pbkv::Options PbkvPreset(const std::string& preset) {
-  if (preset.empty() || preset == "voltdb") return pbkv::VoltDbOptions();
-  if (preset == "elasticsearch") return pbkv::ElasticsearchOptions();
-  if (preset == "mongo-arbiter") return pbkv::MongoArbiterOptions();
-  if (preset == "mongo-conflicting-criteria") return pbkv::MongoConflictingCriteriaOptions();
-  if (preset == "async-replication") return pbkv::AsyncReplicationOptions();
-  if (preset == "coordinator-routing") return pbkv::CoordinatorRoutingOptions();
-  assert(false && "unknown pbkv preset; the parser validates presets");
-  return pbkv::VoltDbOptions();
-}
-
-// The runner factory under the resolved options, before ambient faults.
-neat::RunnerFactory BaseFactory(const Scenario& scenario, Variant variant) {
-  const bool correct = variant == Variant::kCorrect;
-  if (scenario.system == "pbkv") {
-    pbkv::Options options = correct ? pbkv::CorrectOptions() : PbkvPreset(scenario.preset);
-    options.causal_trace = scenario.causal;
-    return neat::PbkvRunnerFactory(options);
-  }
-  if (scenario.system == "raftkv") {
-    raftkv::Options options = correct ? raftkv::CorrectOptions() : raftkv::RethinkDbOptions();
-    options.causal_trace = scenario.causal;
-    return neat::RaftKvRunnerFactory(options);
-  }
-  if (scenario.system == "locksvc") {
-    locksvc::Options options = correct ? locksvc::CorrectOptions() : locksvc::IgniteOptions();
-    options.causal_trace = scenario.causal;
-    return neat::LocksvcRunnerFactory(options);
-  }
-  if (scenario.system == "mqueue") {
-    mqueue::Options options = correct ? mqueue::CorrectOptions() : mqueue::ActiveMqOptions();
-    options.causal_trace = scenario.causal;
-    return neat::MqueueRunnerFactory(options);
-  }
-  assert(false && "unknown system; the parser validates systems");
-  return nullptr;
-}
 
 std::string JoinImpacts(const std::vector<std::string>& impacts) {
   if (impacts.empty()) {
@@ -298,35 +260,25 @@ const char* VariantName(Variant variant) {
   return variant == Variant::kFlawed ? "flawed" : "correct";
 }
 
-bool KnownSystem(const std::string& system) {
-  return system == "pbkv" || system == "raftkv" || system == "locksvc" || system == "mqueue";
-}
+bool KnownSystem(const std::string& system) { return neat::FindSystem(system) != nullptr; }
 
 bool KnownPreset(const std::string& system, const std::string& preset) {
-  if (preset.empty()) {
-    return KnownSystem(system);
+  const neat::SystemEntry* row = neat::FindSystem(system);
+  if (row == nullptr) {
+    return false;
   }
-  if (system == "pbkv") {
-    return preset == "voltdb" || preset == "elasticsearch" || preset == "mongo-arbiter" ||
-           preset == "mongo-conflicting-criteria" || preset == "async-replication" ||
-           preset == "coordinator-routing";
-  }
-  if (system == "raftkv") {
-    return preset == "rethinkdb";
-  }
-  if (system == "locksvc") {
-    return preset == "ignite";
-  }
-  if (system == "mqueue") {
-    return preset == "activemq";
-  }
-  return false;
+  return preset.empty() ||
+         std::find(row->presets.begin(), row->presets.end(), preset) != row->presets.end();
 }
 
 neat::RunnerFactory ScenarioRunnerFactory(const Scenario& scenario, Variant variant) {
-  neat::RunnerFactory base = BaseFactory(scenario, variant);
+  const neat::SystemEntry* row = neat::FindSystem(scenario.system);
+  if (row == nullptr) {
+    return nullptr;  // the parser rejects unknown systems; only a hand-built IR gets here
+  }
+  neat::RunnerFactory base = row->factory(variant, scenario.preset, scenario.causal);
   if (scenario.ambient_faults.empty()) {
-    return base;  // byte-identical to the legacy factory, closure and all
+    return base;  // the registry's typed factory, closure and all
   }
   // Ambient faults are part of the environment, not the system config, so
   // both variants get them. Installed before the fork executor takes its
@@ -342,14 +294,7 @@ neat::RunnerFactory ScenarioRunnerFactory(const Scenario& scenario, Variant vari
 }
 
 neat::CaseExecutor ScenarioCaseExecutor(const Scenario& scenario, Variant variant) {
-  neat::RunnerFactory factory = ScenarioRunnerFactory(scenario, variant);
-  return [factory = std::move(factory)](const neat::TestCase& test_case, uint64_t seed) {
-    std::unique_ptr<neat::CaseRunner> runner = factory(seed);
-    for (const neat::TestEvent& event : test_case) {
-      runner->ApplyEvent(event);
-    }
-    return runner->Finish(test_case);
-  };
+  return neat::ReplayExecutor(ScenarioRunnerFactory(scenario, variant));
 }
 
 neat::TestCaseGenerator ScenarioGenerator(const Scenario& scenario) {

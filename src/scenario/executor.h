@@ -1,11 +1,13 @@
 // Compiles a parsed Scenario onto the NEAT execution machinery.
 //
 // The compilation contract (docs/DESIGN.md): a scenario names a system and
-// a variant; the executor resolves that pair to the same Options preset and
-// RunnerFactory the hand-written reproductions use, so a DSL run with no
-// message-level faults is byte-identical — same verdict, same trace, same
-// coverage — to the corresponding legacy Run*TestCase / *CaseExecutor run
-// (pinned by the conformance tests in tests/scenario_conformance_test.cc).
+// a variant; the executor resolves that pair through the system registry
+// (neat/registry.h) to the same Options preset and RunnerFactory the
+// hand-written reproductions use, so a DSL run with no message-level
+// faults is byte-identical — same verdict, same trace, same coverage — to
+// the typed runner factory driven straight through (pinned by
+// tests/scenario_test.cc; tests/scenario_conformance_test.cc pins the
+// corpus digests).
 // Ambient fault rules are installed on the network right after the runner
 // is built, before any step or generated case — and therefore before the
 // fork executor's root snapshot, so forked runs inherit them.
@@ -27,14 +29,9 @@
 
 namespace scenario {
 
-// The system/preset registry the parser validates against and the executor
-// compiles with. An empty preset selects the system's default reproduction:
-//   pbkv    voltdb (also: elasticsearch, mongo-arbiter,
-//           mongo-conflicting-criteria, async-replication,
-//           coordinator-routing)
-//   raftkv  rethinkdb
-//   locksvc ignite
-//   mqueue  activemq
+// Lookups in the system registry (neat/registry.h), which the parser
+// validates against and the executor compiles with. An empty preset
+// selects the system's default reproduction, its first preset.
 bool KnownSystem(const std::string& system);
 bool KnownPreset(const std::string& system, const std::string& preset);
 
@@ -42,12 +39,13 @@ bool KnownPreset(const std::string& system, const std::string& preset);
 // the resolved options (preset for kFlawed, all-safety-knobs-on for
 // kCorrect, causal_trace from the scenario), wrapped to install the
 // scenario's ambient fault rules at construction time. Plugs into
-// neat::ForkingExecutor / ForkingSessions unchanged.
+// neat::ForkingExecutor / ForkingSessions unchanged. Empty when the
+// scenario names a system the registry does not know, which only a
+// scenario built in code rather than parsed can do.
 neat::RunnerFactory ScenarioRunnerFactory(const Scenario& scenario, Variant variant);
 
-// A campaign-compatible executor: drives a fresh runner from
-// ScenarioRunnerFactory straight through each case. With no ambient faults
-// this is exactly the legacy full-replay execution.
+// A campaign-compatible executor: neat::ReplayExecutor over
+// ScenarioRunnerFactory, a fresh runner driven straight through each case.
 neat::CaseExecutor ScenarioCaseExecutor(const Scenario& scenario, Variant variant);
 
 // The generator and pruning rules a campaign scenario sweeps.
@@ -61,8 +59,8 @@ struct ExpectationOutcome {
 };
 
 // One variant's end-to-end result: the per-expectation verdicts plus the
-// run's digest, so conformance tests can compare a DSL run against a
-// legacy one without re-deriving either.
+// run's digest, so conformance tests can pin a DSL run without
+// re-deriving it.
 struct RunOutcome {
   Variant variant = Variant::kFlawed;
   bool passed = false;

@@ -9,6 +9,16 @@
 namespace scenario {
 namespace {
 
+// The registry's system names as an English list: "a, b, or c".
+std::string SystemList() {
+  const std::vector<neat::SystemEntry>& rows = neat::Systems();
+  std::string list;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    list += (i == 0 ? "" : i + 1 == rows.size() ? ", or " : ", ") + rows[i].name;
+  }
+  return list;
+}
+
 bool IsIdentStart(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
 }
@@ -702,8 +712,7 @@ class Parser {
         return Fail(name, "expected a system name after 'system', found " + Describe(name));
       }
       if (!KnownSystem(name.text)) {
-        return Fail(name, "unknown system '" + name.text +
-                              "' (expected pbkv, raftkv, locksvc, or mqueue)");
+        return Fail(name, "unknown system '" + name.text + "' (expected " + SystemList() + ")");
       }
       scenario_.system = name.text;
       return ExpectEol("'system'");

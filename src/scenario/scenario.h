@@ -17,15 +17,17 @@
 #include <string>
 #include <vector>
 
+#include "neat/registry.h"
 #include "neat/testgen.h"
 #include "net/network.h"
 
 namespace scenario {
 
-// Which configuration of the system under test a run uses. Every system
-// maps kCorrect to its all-safety-knobs-on options; kFlawed maps to the
-// scenario's preset (or the system's default reproduction preset).
-enum class Variant { kFlawed, kCorrect };
+// Which configuration of the system under test a run uses (the system
+// registry's variant): kFlawed maps to the scenario's preset, or the
+// system's default reproduction preset; kCorrect to the system's
+// all-safety-knobs-on options.
+using Variant = neat::Variant;
 
 const char* VariantName(Variant variant);
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "check/causal.h"
+#include "check/checkers.h"
 #include "neat/adapters.h"
 #include "neat/campaign.h"
 #include "neat/coverage.h"
@@ -199,7 +200,8 @@ TEST(Escaping, PaperSuiteFeaturesAreEscapeFree) {
   neat::TestCaseGenerator::Alphabet alphabet;
   neat::TestCaseGenerator gen(alphabet);
   const auto suite = gen.EnumerateUpTo(3, neat::PaperPruning());
-  const neat::CaseExecutor executor = neat::PbkvCaseExecutor(pbkv::VoltDbOptions());
+  const neat::CaseExecutor executor =
+      neat::ReplayExecutor(neat::PbkvRunnerFactory(pbkv::VoltDbOptions()));
   size_t features_seen = 0;
   for (const neat::TestCase& test_case : suite) {
     const neat::ExecutionResult result = executor(test_case, 1);
@@ -266,7 +268,8 @@ TEST(Cascade, CausalForkEqualsReplayOnThePaperPrunedSuite) {
   neat::TestCaseGenerator::Alphabet alphabet;
   neat::TestCaseGenerator gen(alphabet);
   const auto suite = gen.EnumerateUpTo(3, neat::PaperPruning());
-  const neat::CaseExecutor replay = neat::PbkvCaseExecutor(CausalArbiterOptions());
+  const neat::CaseExecutor replay =
+      neat::ReplayExecutor(neat::PbkvRunnerFactory(CausalArbiterOptions()));
   auto stats = std::make_shared<neat::ForkStats>();
   const neat::CaseExecutor forked = neat::ForkingCaseExecutor(
       neat::PbkvRunnerFactory(CausalArbiterOptions()), neat::ForkOptions{}, stats);
@@ -279,7 +282,8 @@ TEST(Cascade, CausalForkEqualsReplayOnThePaperPrunedSuite) {
 TEST(Cascade, CausalGuidedCampaignIsByteIdenticalAtOneAndEightThreads) {
   neat::TestCaseGenerator::Alphabet alphabet;
   neat::TestCaseGenerator gen(alphabet);
-  const neat::CaseExecutor executor = neat::PbkvCaseExecutor(CausalArbiterOptions());
+  const neat::CaseExecutor executor =
+      neat::ReplayExecutor(neat::PbkvRunnerFactory(CausalArbiterOptions()));
   neat::CampaignOptions base;
   base.guided = true;
   base.guided_rounds = 2;

@@ -181,7 +181,7 @@ TEST(Minimize, SeededPbkvDirtyReadShrinksToTheKnownMinimalRepro) {
   // passes) makes [partition, write, heal] the unique 1-minimal repro.
   const TestCase padded{Partition(), Client(EventKind::kWrite), Client(EventKind::kRead),
                         Heal()};
-  const CaseExecutor executor = PbkvCaseExecutor(pbkv::VoltDbOptions());
+  const CaseExecutor executor = ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()));
   const MinimizedRepro repro = MinimizeCase(padded, 1, executor);
   EXPECT_TRUE(repro.reproduced);
   EXPECT_EQ(repro.signature, "dirty read");
@@ -201,7 +201,7 @@ TEST(Minimize, SeededPbkvDirtyReadShrinksToTheKnownMinimalRepro) {
 TEST(Minimize, DeterministicAcrossRepeatedRuns) {
   const TestCase padded{Partition(), Client(EventKind::kWrite), Client(EventKind::kRead),
                         Heal()};
-  const CaseExecutor executor = PbkvCaseExecutor(pbkv::VoltDbOptions());
+  const CaseExecutor executor = ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()));
   const MinimizedRepro first = MinimizeCase(padded, 1, executor);
   const MinimizedRepro second = MinimizeCase(padded, 1, executor);
   EXPECT_EQ(FormatTestCase(first.minimized), FormatTestCase(second.minimized));
@@ -239,9 +239,9 @@ TEST(CampaignMinimize, SeededFlawsYieldVerifiedReprosIdenticalAcrossThreadCounts
   lock_alphabet.client_events = {EventKind::kLock, EventKind::kUnlock};
   std::vector<Target> targets;
   targets.push_back({TestCaseGenerator(TestCaseGenerator::Alphabet{}),
-                     PbkvCaseExecutor(pbkv::VoltDbOptions())});
-  targets.push_back(
-      {TestCaseGenerator(lock_alphabet), LocksvcCaseExecutor(locksvc::IgniteOptions())});
+                     ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()))});
+  targets.push_back({TestCaseGenerator(lock_alphabet),
+                     ReplayExecutor(LocksvcRunnerFactory(locksvc::IgniteOptions()))});
 
   for (const Target& target : targets) {
     CampaignOptions serial;
@@ -301,7 +301,7 @@ TEST(Minimize, MinimizationIsAFixpointOnThePbkvPaperSuite) {
   // partition-simplified case admits no further accepted shrink), and two
   // such re-minimizations must agree on the shrink log byte for byte.
   TestCaseGenerator gen{TestCaseGenerator::Alphabet{}};
-  const CaseExecutor executor = PbkvCaseExecutor(pbkv::VoltDbOptions());
+  const CaseExecutor executor = ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()));
   CampaignOptions options;
   options.threads = 8;
   options.minimize_failures = true;

@@ -13,6 +13,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "check/checkers.h"
 #include "neat/adapters.h"
 #include "neat/campaign.h"
 #include "neat/coverage.h"
@@ -477,7 +478,7 @@ TEST(Campaign, ParallelEqualsSerialOnThePaperPrunedPbkvSuite) {
   TestCaseGenerator::Alphabet alphabet;
   TestCaseGenerator gen(alphabet);
   const auto suite = gen.EnumerateUpTo(3, PaperPruning());
-  const CaseExecutor executor = PbkvCaseExecutor(pbkv::VoltDbOptions());
+  const CaseExecutor executor = ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()));
   CampaignOptions serial_options;
   serial_options.threads = 1;
   CampaignOptions parallel_options;
@@ -502,22 +503,37 @@ TEST(Campaign, ParallelEqualsSerialOnThePaperPrunedPbkvSuite) {
   EXPECT_GT(serial.failures, 0u) << "the VoltDB-like variant must fail the sweep";
 }
 
-TEST(Campaign, StatusProbeExecutorSweepsAnyModelSystem) {
-  // The SystemFactory interface: the same generic executor drives a
-  // partition-only campaign against systems with no bespoke executor.
-  TestEvent partition;
-  partition.kind = EventKind::kPartition;
-  partition.partition = PartitionKind::kComplete;
-  const TestCase partition_only{partition};
+TEST(Campaign, LongerSuiteRediscoversEveryShorterSignature) {
+  // Raising the paper-pruned sweep from len <= 3 to len <= 4 must keep
+  // every failure signature the shorter sweep finds, and still find each
+  // preset's seeded flaw.
+  TestCaseGenerator::Alphabet alphabet;
+  const TestCaseGenerator gen(alphabet);
   CampaignOptions options;
-  options.threads = 2;
-  for (SystemFactory factory :
-       {MakeRaftKvFactory(), MakeMqueueFactory(), MakePbkvFactory(pbkv::CorrectOptions())}) {
-    const CampaignResult result = RunCampaign(
-        std::vector<TestCase>{partition_only}, StatusProbeExecutor(factory), options);
-    ASSERT_EQ(result.cases_run, 1u);
-    // A healed correct system must make progress again.
-    EXPECT_EQ(result.failures, 0u) << result.cases[0].signature;
+  options.threads = 4;
+  const struct {
+    const char* name;
+    pbkv::Options options;
+    const char* impact;
+  } presets[] = {
+      {"voltdb", pbkv::VoltDbOptions(), "dirty read"},
+      {"elasticsearch", pbkv::ElasticsearchOptions(), "data loss"},
+      {"async-replication", pbkv::AsyncReplicationOptions(), "data loss"},
+  };
+  for (const auto& preset : presets) {
+    SCOPED_TRACE(preset.name);
+    const CaseExecutor executor = ReplayExecutor(PbkvRunnerFactory(preset.options));
+    const CampaignResult upto3 = RunCampaign(gen, 3, PaperPruning(), executor, options);
+    const CampaignResult upto4 = RunCampaign(gen, 4, PaperPruning(), executor, options);
+    EXPECT_GE(upto4.failures, upto3.failures);
+    for (const auto& [signature, count] : upto3.signature_counts) {
+      EXPECT_EQ(upto4.signature_counts.count(signature), 1u) << signature;
+    }
+    bool flaw_found = false;
+    for (const auto& [signature, count] : upto4.signature_counts) {
+      flaw_found |= signature.find(preset.impact) != std::string::npos;
+    }
+    EXPECT_TRUE(flaw_found) << preset.impact;
   }
 }
 
@@ -540,7 +556,8 @@ TestCase DirtyReadCase() {
 }
 
 TEST(Executor, FindsTheDirtyReadInTheFlawedSystem) {
-  auto result = RunPbkvTestCase(pbkv::VoltDbOptions(), DirtyReadCase(), /*seed=*/1);
+  auto result =
+      ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()))(DirtyReadCase(), /*seed=*/1);
   EXPECT_TRUE(result.found_failure) << result.trace;
   bool has_dirty = false;
   for (const auto& violation : result.violations) {
@@ -552,7 +569,8 @@ TEST(Executor, FindsTheDirtyReadInTheFlawedSystem) {
 }
 
 TEST(Executor, CleanOnTheCorrectedSystem) {
-  auto result = RunPbkvTestCase(pbkv::CorrectOptions(), DirtyReadCase(), /*seed=*/1);
+  auto result =
+      ReplayExecutor(PbkvRunnerFactory(pbkv::CorrectOptions()))(DirtyReadCase(), /*seed=*/1);
   EXPECT_FALSE(result.found_failure) << check::FormatViolations(result.violations);
 }
 
@@ -562,13 +580,15 @@ TEST(Executor, PrunedSuiteFindsTheSeededBugs) {
   TestCaseGenerator::Alphabet alphabet;
   TestCaseGenerator gen(alphabet);
   auto suite = gen.EnumerateUpTo(3, PaperPruning());
+  const CaseExecutor voltdb = ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()));
+  const CaseExecutor correct = ReplayExecutor(PbkvRunnerFactory(pbkv::CorrectOptions()));
   int voltdb_failures = 0;
   int correct_failures = 0;
   for (const TestCase& test_case : suite) {
-    if (RunPbkvTestCase(pbkv::VoltDbOptions(), test_case, 1).found_failure) {
+    if (voltdb(test_case, 1).found_failure) {
       ++voltdb_failures;
     }
-    if (RunPbkvTestCase(pbkv::CorrectOptions(), test_case, 1).found_failure) {
+    if (correct(test_case, 1).found_failure) {
       ++correct_failures;
     }
   }
@@ -581,13 +601,15 @@ TEST(Executor, LocksvcSuiteExposesDoubleLocking) {
   alphabet.client_events = {EventKind::kLock, EventKind::kUnlock};
   TestCaseGenerator gen(alphabet);
   auto suite = gen.EnumerateUpTo(3, PaperPruning());
+  const CaseExecutor ignite = ReplayExecutor(LocksvcRunnerFactory(locksvc::IgniteOptions()));
+  const CaseExecutor correct = ReplayExecutor(LocksvcRunnerFactory(locksvc::CorrectOptions()));
   int flawed = 0;
   int fixed = 0;
   for (const TestCase& test_case : suite) {
-    if (RunLocksvcTestCase(locksvc::IgniteOptions(), test_case, 1).found_failure) {
+    if (ignite(test_case, 1).found_failure) {
       ++flawed;
     }
-    if (RunLocksvcTestCase(locksvc::CorrectOptions(), test_case, 1).found_failure) {
+    if (correct(test_case, 1).found_failure) {
       ++fixed;
     }
   }
@@ -635,7 +657,8 @@ TEST(TraceReport, MalformedDropDetailStillCounts) {
 TEST(TraceReport, ExecutorsAttachTheRunsTraceSummary) {
   // The real executors summarize the run's simulation trace into the
   // result, which the campaign reports bundle per minimized repro.
-  const auto result = RunPbkvTestCase(pbkv::VoltDbOptions(), DirtyReadCase(), /*seed=*/1);
+  const auto result =
+      ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()))(DirtyReadCase(), /*seed=*/1);
   EXPECT_GT(result.trace_report.total_records, 0u);
   EXPECT_FALSE(result.trace_report.drops_per_link.empty())
       << "the partition must have dropped traffic";
@@ -668,7 +691,8 @@ TEST(Executor, RaftKvSuiteExposesTheMembershipDataLoss) {
   options.threads = 8;
   options.seeds = 3;
   const CampaignResult flawed = RunCampaign(
-      gen, 3, PaperPruning(), RaftKvCaseExecutor(raftkv::RethinkDbOptions()), options);
+      gen, 3, PaperPruning(), ReplayExecutor(RaftKvRunnerFactory(raftkv::RethinkDbOptions())),
+      options);
   EXPECT_GT(flawed.failures, 0u);
   bool has_loss = false;
   for (const auto& [signature, count] : flawed.signature_counts) {
@@ -679,7 +703,8 @@ TEST(Executor, RaftKvSuiteExposesTheMembershipDataLoss) {
   }
   EXPECT_TRUE(has_loss) << "expected a data-loss / non-linearizable signature";
   const CampaignResult correct = RunCampaign(
-      gen, 3, PaperPruning(), RaftKvCaseExecutor(raftkv::CorrectOptions()), options);
+      gen, 3, PaperPruning(), ReplayExecutor(RaftKvRunnerFactory(raftkv::CorrectOptions())),
+      options);
   EXPECT_EQ(correct.failures, 0u)
       << "corrected raftkv failed: " << (correct.signature_counts.empty()
                                              ? std::string("?")
@@ -708,7 +733,7 @@ TEST(Executor, RaftKvLeaderReplicatesToMembersAddedByConfig) {
   const TestCase test_case{partial_any, complete_leader, read_majority, partial_leader,
                            partial_any};
   const ExecutionResult result =
-      RunRaftKvTestCase(raftkv::RethinkDbOptions(), test_case, /*seed=*/2);
+      ReplayExecutor(RaftKvRunnerFactory(raftkv::RethinkDbOptions()))(test_case, /*seed=*/2);
   EXPECT_EQ(result.trace, FormatTestCase(test_case));
   EXPECT_GE(result.trace_report.event_counts.at("config"), 1u)
       << "the case must exercise a membership change";
@@ -724,12 +749,14 @@ TEST(Executor, MqueueSuiteExposesTheDoubleDequeue) {
   options.threads = 8;
   options.seeds = 3;
   const CampaignResult flawed = RunCampaign(
-      gen, 3, PaperPruning(), MqueueCaseExecutor(mqueue::ActiveMqOptions()), options);
+      gen, 3, PaperPruning(), ReplayExecutor(MqueueRunnerFactory(mqueue::ActiveMqOptions())),
+      options);
   EXPECT_GT(flawed.failures, 0u);
   EXPECT_TRUE(flawed.signature_counts.count("double dequeue"))
       << "expected the AMQ-6978 double-dequeue signature";
   const CampaignResult correct = RunCampaign(
-      gen, 3, PaperPruning(), MqueueCaseExecutor(mqueue::CorrectOptions()), options);
+      gen, 3, PaperPruning(), ReplayExecutor(MqueueRunnerFactory(mqueue::CorrectOptions())),
+      options);
   EXPECT_EQ(correct.failures, 0u)
       << "corrected mqueue failed: " << (correct.signature_counts.empty()
                                              ? std::string("?")
@@ -791,7 +818,8 @@ TEST(Coverage, StateTransitionFeatureIsFixedWidthHex) {
 }
 
 TEST(Coverage, RealExecutorRunsReportCoverageFeatures) {
-  const auto result = RunPbkvTestCase(pbkv::VoltDbOptions(), DirtyReadCase(), /*seed=*/1);
+  const auto result =
+      ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()))(DirtyReadCase(), /*seed=*/1);
   ASSERT_FALSE(result.coverage.empty());
   bool has_bigram = false;
   bool has_phase = false;
@@ -863,7 +891,7 @@ TEST(Guided, CampaignIsByteIdenticalAcrossThreadCountsAndRuns) {
   // and 8, and stay stable across repeated runs with the same seeds.
   TestCaseGenerator::Alphabet alphabet;
   TestCaseGenerator gen(alphabet);
-  const CaseExecutor executor = PbkvCaseExecutor(pbkv::VoltDbOptions());
+  const CaseExecutor executor = ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()));
   CampaignOptions base;
   base.guided = true;
   base.guided_rounds = 3;
@@ -904,9 +932,9 @@ TEST(Guided, HalfBudgetFindsEveryExhaustiveSignature) {
   lock_alphabet.client_events = {EventKind::kLock, EventKind::kUnlock};
   std::vector<Suite> suites;
   suites.push_back({"pbkv", TestCaseGenerator(kv_alphabet),
-                    PbkvCaseExecutor(pbkv::VoltDbOptions())});
+                    ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()))});
   suites.push_back({"locksvc", TestCaseGenerator(lock_alphabet),
-                    LocksvcCaseExecutor(locksvc::IgniteOptions())});
+                    ReplayExecutor(LocksvcRunnerFactory(locksvc::IgniteOptions()))});
   CampaignOptions options;
   options.threads = 8;
   for (Suite& suite : suites) {
@@ -955,23 +983,20 @@ TEST(Adapters, EverySystemReportsHealthyAtSteadyState) {
     RaftKvSystem system(config);
     system.Env().Sleep(sim::Seconds(2));
     EXPECT_TRUE(system.GetStatus());
+    EXPECT_EQ(system.Name(), "raftkv");
   }
   {
     LocksvcSystem system(locksvc::Cluster::Config{});
     system.Env().Sleep(sim::Milliseconds(300));
     EXPECT_TRUE(system.GetStatus());
+    EXPECT_TRUE(system.GetStatus()) << "a second probe locks a fresh resource";
+    EXPECT_EQ(system.Name(), "locksvc");
   }
   {
     MqueueSystem system(mqueue::Cluster::Config{});
     system.Env().Sleep(sim::Milliseconds(500));
     EXPECT_TRUE(system.GetStatus());
-  }
-  {
-    SchedSystem system(sched::Cluster::Config{});
-    system.Env().Sleep(sim::Milliseconds(300));
-    EXPECT_TRUE(system.GetStatus());
-    system.Shutdown();
-    EXPECT_FALSE(system.GetStatus());
+    EXPECT_EQ(system.Name(), "mqueue");
   }
 }
 
@@ -1054,7 +1079,7 @@ TEST(Fork, PbkvForkEqualsReplayOnThePaperPrunedSuite) {
   TestCaseGenerator::Alphabet alphabet;
   TestCaseGenerator gen(alphabet);
   const auto suite = gen.EnumerateUpTo(3, PaperPruning());
-  const CaseExecutor replay = PbkvCaseExecutor(pbkv::VoltDbOptions());
+  const CaseExecutor replay = ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()));
   auto stats = std::make_shared<ForkStats>();
   const CaseExecutor forked =
       ForkingCaseExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()), ForkOptions{}, stats);
@@ -1089,48 +1114,29 @@ TEST(Fork, EverySystemForksByteIdenticallyOnAPrefixFamily) {
 
   struct Target {
     const char* name;
-    CaseExecutor replay;
-    CaseExecutor forked;
-    std::shared_ptr<ForkStats> stats;
+    RunnerFactory factory;
     std::vector<TestCase> cases;
   };
-  std::vector<Target> targets;
-  {
+  const Target targets[] = {
+      {"locksvc",
+       LocksvcRunnerFactory(locksvc::IgniteOptions()),
+       {{partition}, {partition, minority_lock}, {partition, minority_lock, majority_lock}}},
+      {"raftkv",
+       RaftKvRunnerFactory(raftkv::RethinkDbOptions()),
+       {{partition}, {partition, minority_write}, {partition, minority_write, minority_read}}},
+      {"mqueue",
+       MqueueRunnerFactory(mqueue::ActiveMqOptions()),
+       {{partition}, {partition, minority_read}, {partition, minority_read, minority_write}}},
+  };
+  for (const Target& target : targets) {
+    const CaseExecutor replay = ReplayExecutor(target.factory);
     auto stats = std::make_shared<ForkStats>();
-    targets.push_back({"locksvc", LocksvcCaseExecutor(locksvc::IgniteOptions()),
-                       ForkingCaseExecutor(LocksvcRunnerFactory(locksvc::IgniteOptions()),
-                                           ForkOptions{}, stats),
-                       stats,
-                       {{partition},
-                        {partition, minority_lock},
-                        {partition, minority_lock, majority_lock}}});
-  }
-  {
-    auto stats = std::make_shared<ForkStats>();
-    targets.push_back({"raftkv", RaftKvCaseExecutor(raftkv::RethinkDbOptions()),
-                       ForkingCaseExecutor(RaftKvRunnerFactory(raftkv::RethinkDbOptions()),
-                                           ForkOptions{}, stats),
-                       stats,
-                       {{partition},
-                        {partition, minority_write},
-                        {partition, minority_write, minority_read}}});
-  }
-  {
-    auto stats = std::make_shared<ForkStats>();
-    targets.push_back({"mqueue", MqueueCaseExecutor(mqueue::ActiveMqOptions()),
-                       ForkingCaseExecutor(MqueueRunnerFactory(mqueue::ActiveMqOptions()),
-                                           ForkOptions{}, stats),
-                       stats,
-                       {{partition},
-                        {partition, minority_read},
-                        {partition, minority_read, minority_write}}});
-  }
-  for (Target& target : targets) {
+    const CaseExecutor forked = ForkingCaseExecutor(target.factory, ForkOptions{}, stats);
     for (const TestCase& test_case : target.cases) {
-      ExpectSameExecution(target.forked(test_case, 1), target.replay(test_case, 1));
+      ExpectSameExecution(forked(test_case, 1), replay(test_case, 1));
     }
-    EXPECT_GT(target.stats->forked_runs, 0u) << target.name;
-    EXPECT_EQ(target.stats->fresh_runners, 1u) << target.name;
+    EXPECT_GT(stats->forked_runs, 0u) << target.name;
+    EXPECT_EQ(stats->fresh_runners, 1u) << target.name;
   }
 }
 
@@ -1162,24 +1168,20 @@ TEST(Fork, SnapshotRestoreRoundTripPreservesStateDigest) {
   struct Target {
     const char* name;
     RunnerFactory factory;
-    CaseExecutor replay;
     TestCase mutate;
   };
-  std::vector<Target> targets;
-  targets.push_back({"pbkv", PbkvRunnerFactory(pbkv::VoltDbOptions()),
-                     PbkvCaseExecutor(pbkv::VoltDbOptions()),
-                     {partition, minority_write, minority_read}});
-  targets.push_back({"locksvc", LocksvcRunnerFactory(locksvc::IgniteOptions()),
-                     LocksvcCaseExecutor(locksvc::IgniteOptions()),
-                     {partition, minority_lock, majority_lock}});
-  targets.push_back({"raftkv", RaftKvRunnerFactory(raftkv::RethinkDbOptions()),
-                     RaftKvCaseExecutor(raftkv::RethinkDbOptions()),
-                     {partition, minority_write, minority_read}});
-  targets.push_back({"mqueue", MqueueRunnerFactory(mqueue::ActiveMqOptions()),
-                     MqueueCaseExecutor(mqueue::ActiveMqOptions()),
-                     {partition, minority_read, minority_write}});
+  const Target targets[] = {
+      {"pbkv", PbkvRunnerFactory(pbkv::VoltDbOptions()),
+       {partition, minority_write, minority_read}},
+      {"locksvc", LocksvcRunnerFactory(locksvc::IgniteOptions()),
+       {partition, minority_lock, majority_lock}},
+      {"raftkv", RaftKvRunnerFactory(raftkv::RethinkDbOptions()),
+       {partition, minority_write, minority_read}},
+      {"mqueue", MqueueRunnerFactory(mqueue::ActiveMqOptions()),
+       {partition, minority_read, minority_write}},
+  };
 
-  for (Target& target : targets) {
+  for (const Target& target : targets) {
     SCOPED_TRACE(target.name);
     std::unique_ptr<CaseRunner> runner = target.factory(1);
     ASSERT_NE(runner->System(), nullptr);
@@ -1204,7 +1206,7 @@ TEST(Fork, SnapshotRestoreRoundTripPreservesStateDigest) {
     }
     runner->Env().simulator().PauseEventRetention();
     const ExecutionResult rewound = runner->Finish(target.mutate);
-    ExpectSameExecution(rewound, target.replay(target.mutate, 1));
+    ExpectSameExecution(rewound, ReplayExecutor(target.factory)(target.mutate, 1));
   }
 }
 
@@ -1225,7 +1227,7 @@ TEST(Fork, SiblingRestoreInvalidatesDescendantSnapshots) {
   TestEvent minority_write;
   minority_write.kind = EventKind::kWrite;
   minority_write.side = Side::kMinority;
-  const CaseExecutor replay = PbkvCaseExecutor(pbkv::VoltDbOptions());
+  const CaseExecutor replay = ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()));
   auto stats = std::make_shared<ForkStats>();
   const CaseExecutor forked =
       ForkingCaseExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()), ForkOptions{}, stats);
@@ -1247,7 +1249,7 @@ TEST(Fork, GuidedCampaignWithForkingSessionsMatchesReplayAtAnyThreadCount) {
   // replay campaign: session state changes speed, never results.
   TestCaseGenerator::Alphabet alphabet;
   TestCaseGenerator gen(alphabet);
-  const CaseExecutor replay = PbkvCaseExecutor(pbkv::VoltDbOptions());
+  const CaseExecutor replay = ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()));
   CampaignOptions base;
   base.guided = true;
   base.guided_rounds = 2;
@@ -1277,7 +1279,7 @@ TEST(Fork, CampaignMinimizeWithForkingSessionsMatchesReplay) {
   CampaignOptions plain;
   plain.threads = 4;
   plain.minimize_failures = true;
-  const CaseExecutor replay = PbkvCaseExecutor(pbkv::VoltDbOptions());
+  const CaseExecutor replay = ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()));
   const CampaignResult expected = RunCampaign(gen, 3, PaperPruning(), replay, plain);
   ASSERT_GT(expected.failures, 0u);
   ASSERT_FALSE(expected.minimized.empty());
@@ -1295,8 +1297,8 @@ TEST(Fork, CampaignMinimizeWithForkingSessionsMatchesReplay) {
 }
 
 TEST(Fork, UnforkableRunnerFallsBackToFullReplay) {
-  // A runner whose Snapshot() returns nullptr (the ISystem default) must
-  // still execute correctly — every case replays on a fresh runner.
+  // A runner whose Snapshot() returns nullptr must still execute
+  // correctly — every case replays on a fresh runner.
   class UnforkableRunner : public CaseRunner {
    public:
     explicit UnforkableRunner(int* built) : env_(TestEnv::Options{}) { ++*built; }

@@ -1,87 +1,57 @@
-// Byte-identity of the shipped scenario corpus against the hand-written
-// legacy executors. Each of the four ported reproductions
-// (tests/scenarios/*.scn) must produce, through the scenario DSL, exactly
-// the campaign the legacy Run*TestCase machinery produces: same verdicts,
-// same traces, same coverage, same failure signatures — pinned by
-// comparing scenario::CampaignDigest of both sweeps. This is the
-// compilation contract of docs/DESIGN.md: the DSL adds a parser in front
-// of the existing execution stack, never a different execution.
+// Pinned digests of the shipped scenario corpus. Every tests/scenarios/*.scn
+// file, run through the DSL in both variants, must reproduce the recorded
+// scenario::ResultDigest (run files) or scenario::CampaignDigest (campaign
+// files): same verdicts, same traces, same coverage, same failure
+// signatures. The values were recorded with `scnrun tests/scenarios/*.scn`
+// (g++ 12, RelWithDebInfo), so any change to the execution stack is pinned
+// to the runs the corpus has always produced. A change that means to alter
+// a run re-records the affected rows and says why.
 
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "neat/adapters.h"
-#include "neat/campaign.h"
 #include "scenario/executor.h"
 #include "scenario/parser.h"
 
 namespace scenario {
 namespace {
 
-Scenario Load(const std::string& file) {
+struct PinnedRun {
+  const char* file;  // under tests/scenarios/, without ".scn"
+  const char* flawed;
+  const char* correct;
+};
+
+void PrintTo(const PinnedRun& pinned, std::ostream* os) { *os << pinned.file; }
+
+class ScenarioConformance : public testing::TestWithParam<PinnedRun> {};
+
+TEST_P(ScenarioConformance, MatchesPinnedDigests) {
+  const std::string file = std::string(GetParam().file) + ".scn";
   const ParseResult parsed = ParseFile(std::string(SCENARIO_DIR) + "/" + file);
-  EXPECT_TRUE(parsed.ok) << FormatDiagnostics(parsed, file);
-  return parsed.scenario;
-}
-
-// The legacy sweep for one (scenario, executor) pair: the same generator
-// alphabet, pruning, and campaign dimensions the .scn file declares, run
-// through the hand-written per-system CaseExecutor.
-std::string LegacyDigest(const Scenario& scn, const neat::CaseExecutor& executor) {
-  neat::CampaignOptions options;
-  options.threads = scn.campaign.threads;
-  options.seeds = scn.campaign.seeds;
-  const neat::CampaignResult result = neat::RunCampaign(
-      ScenarioGenerator(scn), scn.campaign.max_length, ScenarioPruning(scn), executor, options);
-  return CampaignDigest(result);
-}
-
-TEST(ScenarioConformance, PbkvPaperSuiteMatchesLegacyExecutor) {
-  const Scenario scn = Load("pbkv_paper_suite.scn");
-  const RunOutcome flawed = RunScenarioVariant(scn, Variant::kFlawed);
+  ASSERT_TRUE(parsed.ok) << FormatDiagnostics(parsed, file);
+  const RunOutcome flawed = RunScenarioVariant(parsed.scenario, Variant::kFlawed);
   EXPECT_TRUE(flawed.passed);
-  EXPECT_EQ(flawed.digest, LegacyDigest(scn, neat::PbkvCaseExecutor(pbkv::VoltDbOptions())));
-  const RunOutcome correct = RunScenarioVariant(scn, Variant::kCorrect);
+  EXPECT_EQ(flawed.digest, GetParam().flawed);
+  const RunOutcome correct = RunScenarioVariant(parsed.scenario, Variant::kCorrect);
   EXPECT_TRUE(correct.passed);
-  EXPECT_EQ(correct.digest, LegacyDigest(scn, neat::PbkvCaseExecutor(pbkv::CorrectOptions())));
+  EXPECT_EQ(correct.digest, GetParam().correct);
 }
 
-TEST(ScenarioConformance, LocksvcDoubleLockingMatchesLegacyExecutor) {
-  const Scenario scn = Load("locksvc_double_locking.scn");
-  const RunOutcome flawed = RunScenarioVariant(scn, Variant::kFlawed);
-  EXPECT_TRUE(flawed.passed);
-  EXPECT_EQ(flawed.digest,
-            LegacyDigest(scn, neat::LocksvcCaseExecutor(locksvc::IgniteOptions())));
-  const RunOutcome correct = RunScenarioVariant(scn, Variant::kCorrect);
-  EXPECT_TRUE(correct.passed);
-  EXPECT_EQ(correct.digest,
-            LegacyDigest(scn, neat::LocksvcCaseExecutor(locksvc::CorrectOptions())));
-}
-
-TEST(ScenarioConformance, RaftKvMembershipMatchesLegacyExecutor) {
-  const Scenario scn = Load("raftkv_membership_5289.scn");
-  const RunOutcome flawed = RunScenarioVariant(scn, Variant::kFlawed);
-  EXPECT_TRUE(flawed.passed);
-  EXPECT_EQ(flawed.digest,
-            LegacyDigest(scn, neat::RaftKvCaseExecutor(raftkv::RethinkDbOptions())));
-  const RunOutcome correct = RunScenarioVariant(scn, Variant::kCorrect);
-  EXPECT_TRUE(correct.passed);
-  EXPECT_EQ(correct.digest,
-            LegacyDigest(scn, neat::RaftKvCaseExecutor(raftkv::CorrectOptions())));
-}
-
-TEST(ScenarioConformance, MqueueDoubleDequeueMatchesLegacyExecutor) {
-  const Scenario scn = Load("mqueue_double_dequeue.scn");
-  const RunOutcome flawed = RunScenarioVariant(scn, Variant::kFlawed);
-  EXPECT_TRUE(flawed.passed);
-  EXPECT_EQ(flawed.digest,
-            LegacyDigest(scn, neat::MqueueCaseExecutor(mqueue::ActiveMqOptions())));
-  const RunOutcome correct = RunScenarioVariant(scn, Variant::kCorrect);
-  EXPECT_TRUE(correct.passed);
-  EXPECT_EQ(correct.digest,
-            LegacyDigest(scn, neat::MqueueCaseExecutor(mqueue::CorrectOptions())));
-}
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, ScenarioConformance,
+    testing::Values(
+        PinnedRun{"locksvc_double_locking", "1c41c6b68fc42781", "f057877d179ab3ad"},
+        PinnedRun{"mqueue_double_dequeue", "5fe400cdcc1b8257", "f24761e4e6198209"},
+        PinnedRun{"mqueue_repl_blackhole", "ff495da0e841f122", "6da3032b4ef06c44"},
+        PinnedRun{"pbkv_dirty_read", "f6bbb8ba9667985c", "49c83cdd59caa1a0"},
+        PinnedRun{"pbkv_paper_suite", "e85d64c1d2b50659", "7948cf24fa99f5c6"},
+        PinnedRun{"raftkv_membership_5289", "d1e7660d6d556ef2", "2e29b820da6e6e10"}),
+    [](const testing::TestParamInfo<PinnedRun>& param_info) {
+      return std::string(param_info.param.file);
+    });
 
 }  // namespace
 }  // namespace scenario

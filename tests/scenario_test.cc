@@ -245,19 +245,23 @@ TEST(ScenarioExecutor, RunModeIsByteIdenticalToTheLegacyDirectedCase) {
   const Scenario scn = MustParse(kDirtyReadRun);
   const RunOutcome outcome = RunScenarioVariant(scn, Variant::kFlawed);
   EXPECT_TRUE(outcome.passed);
-  const neat::ExecutionResult legacy =
-      neat::RunPbkvTestCase(pbkv::VoltDbOptions(), DirtyReadCase(), scn.seed);
+  // The step loop over the registry's runner against the typed factory
+  // driven straight through.
+  const neat::ExecutionResult legacy = neat::ReplayExecutor(
+      neat::PbkvRunnerFactory(pbkv::VoltDbOptions()))(DirtyReadCase(), scn.seed);
   EXPECT_EQ(outcome.digest, ResultDigest(legacy));
   EXPECT_EQ(outcome.signature, neat::FailureSignature(legacy));
 }
 
 TEST(ScenarioExecutor, CaseExecutorIsByteIdenticalToTheLegacyExecutor) {
   const Scenario scn = MustParse(kDirtyReadRun);
+  // The registry lookup against the typed factory.
   const neat::CaseExecutor executor = ScenarioCaseExecutor(scn, Variant::kFlawed);
+  const neat::CaseExecutor legacy =
+      neat::ReplayExecutor(neat::PbkvRunnerFactory(pbkv::VoltDbOptions()));
   const neat::TestCase test_case = DirtyReadCase();
   for (uint64_t seed = 1; seed <= 3; ++seed) {
-    EXPECT_EQ(ResultDigest(executor(test_case, seed)),
-              ResultDigest(neat::RunPbkvTestCase(pbkv::VoltDbOptions(), test_case, seed)));
+    EXPECT_EQ(ResultDigest(executor(test_case, seed)), ResultDigest(legacy(test_case, seed)));
   }
 }
 

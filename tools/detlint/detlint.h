@@ -35,11 +35,6 @@
 //                       and causal edges must be stable log positions;
 //                       an address-derived id breaks fork/replay
 //                       byte-identity
-//   digest-nonconst     ISystem::StateDigest declarations/definitions not
-//                       marked const — a digest probe must be read-only
-//   snapshot-nonconst   Snapshot() declarations/definitions not marked
-//                       const — capturing a fork snapshot must not perturb
-//                       the run it captures (neat/system.h contract)
 //   unhandled-message   a net::Message subclass with no dynamic_cast
 //                       dispatch site anywhere in the tree — the silent
 //                       unhandled-protocol-event omission
@@ -54,11 +49,6 @@
 //                       fork==replay byte-identity. const, reference, raw-
 //                       pointer, and static members are exempt (wiring or
 //                       immutable, not per-run state)
-//   override-completeness    an ISystem subclass overriding Snapshot must
-//                       also override Restore and StateDigest (and vice
-//                       versa); a CaseRunner subclass must pair
-//                       Snapshot/Restore — a capture with no restore path
-//                       is dead weight, a restore with no capture is a trap
 //   digest-taint        a function whose return value is minted from
 //                       unordered_{map,set} iteration (and not laundered
 //                       through a sort) feeding a digest/coverage sink in
@@ -67,13 +57,17 @@
 //
 // Scenario-corpus rules (scnlint.cc; run over .scn files via --scn):
 //   scn-parse           a corpus file the scenario parser rejects
-//   scn-unknown-system  `system:` not in the executor registry
-//   scn-unknown-preset  `preset:` not in the system's preset table
 //   scn-unknown-message an `inject`/ambient fault type name that matches no
 //                       Message::TypeName() literal in the indexed sources —
 //                       a fault rule that can never fire
 //   scn-missing-expect  a scenario without both `expect flawed` and
 //                       `expect correct` blocks — an unasserted variant
+//
+// The compiler enforces the ISystem/CaseRunner contracts: StateDigest and
+// Snapshot are pure virtual and const (neat/system.h, neat/fork.h), so an
+// adapter that mutates in either, or omits one of Snapshot/Restore/
+// StateDigest, does not compile; -Wsuggest-override and -Woverloaded-virtual
+// catch an override that silently fails to override.
 //
 // Suppression syntax (same line as the finding or the line above):
 //   // detlint: allow(<rule>): <reason text, mandatory>

@@ -11,7 +11,6 @@
 
 #include "index.h"
 
-#include <algorithm>
 #include <set>
 
 namespace detlint {
@@ -215,17 +214,10 @@ class FileIndexer {
     if (j < end && IsIdentTok(t_[j], "final")) {
       ++j;
     }
-    std::vector<std::string> bases;
-    if (j < end && IsPunct(t_[j], ":")) {
+    if (j < end && IsPunct(t_[j], ":")) {  // skip the base-clause
       for (++j; j < end && !IsPunct(t_[j], "{") && !IsPunct(t_[j], ";"); ++j) {
         if (IsPunct(t_[j], "<")) {
-          j = SkipAngles(j, end) - 1;  // base template args are not bases
-          continue;
-        }
-        if (t_[j].kind == TokKind::kIdentifier && t_[j].text != "public" &&
-            t_[j].text != "protected" && t_[j].text != "private" &&
-            t_[j].text != "virtual") {
-          bases.push_back(t_[j].text);
+          j = SkipAngles(j, end) - 1;  // template arguments end nothing
         }
       }
     }
@@ -240,7 +232,6 @@ class FileIndexer {
     cls.file = &file_;
     cls.line = t_[i].line;
     cls.column = t_[i].column;
-    cls.bases = std::move(bases);
     const size_t slot = index_->classes.size();
     index_->classes.push_back(std::move(cls));
     // Nested classes may reallocate index_->classes during the recursive
@@ -416,21 +407,17 @@ class FileIndexer {
       }
     }
 
-    bool is_const = false;
-    bool is_override = false;
     size_t body = kNone;
     size_t j = pclose + 1;
     bool in_init_list = false;
     while (j < end) {
       const Token& t = t_[j];
       if (IsIdentTok(t, "const")) {
-        is_const = true;
         ++j;
         continue;
       }
       if (IsIdentTok(t, "override") || IsIdentTok(t, "final") ||
           IsIdentTok(t, "noexcept")) {
-        is_override = is_override || t.text == "override";
         ++j;
         if (j < end && IsPunct(t_[j], "(")) {  // noexcept(...)
           int d = 0;
@@ -502,8 +489,6 @@ class FileIndexer {
       method.name = name;
       method.line = t_[first_paren - 1].line;
       method.column = t_[first_paren - 1].column;
-      method.is_const = is_const;
-      method.is_override = is_override;
       if (body != kNone) {
         method.has_inline_body = true;
         method.body_begin = body;
@@ -588,10 +573,6 @@ const MethodInfo* ClassInfo::FindMethod(const std::string& method) const {
     }
   }
   return nullptr;
-}
-
-bool ClassInfo::HasBase(const std::string& base) const {
-  return std::find(bases.begin(), bases.end(), base) != bases.end();
 }
 
 bool Index::FindBody(const ClassInfo& cls, const std::string& method,

@@ -40,8 +40,6 @@ struct MethodInfo {
   std::string name;
   int line = 0;
   int column = 0;
-  bool is_const = false;     // trailing const
-  bool is_override = false;  // `override` specifier present
   bool has_inline_body = false;
   size_t body_begin = 0;  // token index of '{' in the class's file
   size_t body_end = 0;    // token index of the matching '}'
@@ -53,12 +51,10 @@ struct ClassInfo {
   const SourceFile* file = nullptr;
   int line = 0;
   int column = 0;
-  std::vector<std::string> bases;  // identifiers from the base-clause
   std::vector<MemberInfo> members;
   std::vector<MethodInfo> methods;
 
   const MethodInfo* FindMethod(const std::string& method) const;
-  bool HasBase(const std::string& base) const;
 };
 
 // An out-of-line function definition (`Type Class::Method(...) { ... }`) or
@@ -92,13 +88,13 @@ struct Index {
 
 Index BuildIndex(const std::vector<SourceFile>& sources);
 
-// The structural rule families (snapshot-field-coverage,
-// override-completeness, digest-taint). Called from Analyze.
+// The structural rule families (snapshot-field-coverage, digest-taint).
+// Called from Analyze.
 void CheckStructuralRules(const Index& index, std::vector<Finding>* out);
 
-// The scenario-corpus rule family (scn-parse, scn-unknown-system,
-// scn-unknown-preset, scn-unknown-message, scn-missing-expect). Called
-// from Analyze when .scn sources are in the scan set.
+// The scenario-corpus rule family (scn-parse, scn-unknown-message,
+// scn-missing-expect). Called from Analyze when .scn sources are in the
+// scan set.
 void CheckScenarios(const std::vector<ScnSource>& scenarios, const Index& index,
                     std::vector<Finding>* out);
 

@@ -497,135 +497,6 @@ void CheckAddressDerivedIds(const SourceFile& file, std::vector<Finding>* out) {
 
 // --- model-safety rules -----------------------------------------------------
 
-void CheckDigestConst(const SourceFile& file, std::vector<Finding>* out) {
-  const std::vector<Token>& tokens = file.tokens;
-  for (size_t i = 0; i + 2 < tokens.size(); ++i) {
-    if (!IsIdent(tokens[i], "StateDigest") || !NextIs(tokens, i, "(")) {
-      continue;
-    }
-    if (IsMemberAccess(tokens, i)) {
-      continue;  // a call site, not a declaration
-    }
-    // Declarations/definitions are preceded by the return type or by the
-    // `::` of a qualified definition; calls are preceded by punctuation or
-    // statement keywords.
-    std::string subject = "StateDigest";
-    if (i > 0 && tokens[i - 1].kind == TokKind::kIdentifier) {
-      static const std::set<std::string> kStatementKeywords = {"return", "co_return",
-                                                              "case", "co_await"};
-      if (kStatementKeywords.count(tokens[i - 1].text) > 0) {
-        continue;
-      }
-    } else if (i >= 2 && tokens[i - 1].text == ":" && tokens[i - 2].text == ":") {
-      if (i >= 3 && tokens[i - 3].kind == TokKind::kIdentifier) {
-        subject = tokens[i - 3].text + "::StateDigest";
-      }
-    } else {
-      continue;
-    }
-    // Find the `)` closing the (empty) parameter list, then look for
-    // `const` before the body/terminator.
-    size_t j = i + 1;
-    int depth = 0;
-    for (; j < tokens.size(); ++j) {
-      if (tokens[j].kind != TokKind::kPunct) {
-        continue;
-      }
-      if (tokens[j].text == "(") {
-        ++depth;
-      } else if (tokens[j].text == ")") {
-        if (--depth == 0) {
-          break;
-        }
-      }
-    }
-    bool is_const = false;
-    bool terminated = false;
-    for (++j; j < tokens.size(); ++j) {
-      const Token& t = tokens[j];
-      if (IsIdent(t, "const")) {
-        is_const = true;
-        break;
-      }
-      if (t.kind == TokKind::kPunct && (t.text == "{" || t.text == ";" || t.text == "=")) {
-        terminated = true;
-        break;
-      }
-    }
-    if (!is_const && (terminated || j >= tokens.size())) {
-      Emit(file, tokens[i], "digest-nonconst",
-           "'" + subject + "' is not const: a state digest is a read-only probe — "
-           "a mutating digest perturbs the very run it observes",
-           subject, out);
-    }
-  }
-}
-
-void CheckSnapshotConst(const SourceFile& file, std::vector<Finding>* out) {
-  const std::vector<Token>& tokens = file.tokens;
-  for (size_t i = 0; i + 2 < tokens.size(); ++i) {
-    if (!IsIdent(tokens[i], "Snapshot") || !NextIs(tokens, i, "(")) {
-      continue;
-    }
-    if (IsMemberAccess(tokens, i)) {
-      continue;  // a call site (x.Snapshot() / x->Snapshot()), not a declaration
-    }
-    // Declarations are preceded by the return type — an identifier or the
-    // closing `>` of a template like std::unique_ptr<SystemState> — or by
-    // the `::` of a qualified definition. Calls are preceded by punctuation
-    // or statement keywords.
-    std::string subject = "Snapshot";
-    if (i > 0 && tokens[i - 1].kind == TokKind::kIdentifier) {
-      static const std::set<std::string> kStatementKeywords = {"return", "co_return",
-                                                              "case", "co_await"};
-      if (kStatementKeywords.count(tokens[i - 1].text) > 0) {
-        continue;
-      }
-    } else if (i >= 2 && tokens[i - 1].text == ":" && tokens[i - 2].text == ":") {
-      if (i >= 3 && tokens[i - 3].kind == TokKind::kIdentifier) {
-        subject = tokens[i - 3].text + "::Snapshot";
-      }
-    } else if (i > 0 && tokens[i - 1].kind == TokKind::kPunct && tokens[i - 1].text == ">") {
-      // Template return type; `->` was already excluded by IsMemberAccess.
-    } else {
-      continue;
-    }
-    size_t j = i + 1;
-    int depth = 0;
-    for (; j < tokens.size(); ++j) {
-      if (tokens[j].kind != TokKind::kPunct) {
-        continue;
-      }
-      if (tokens[j].text == "(") {
-        ++depth;
-      } else if (tokens[j].text == ")") {
-        if (--depth == 0) {
-          break;
-        }
-      }
-    }
-    bool is_const = false;
-    bool terminated = false;
-    for (++j; j < tokens.size(); ++j) {
-      const Token& t = tokens[j];
-      if (IsIdent(t, "const")) {
-        is_const = true;
-        break;
-      }
-      if (t.kind == TokKind::kPunct && (t.text == "{" || t.text == ";" || t.text == "=")) {
-        terminated = true;
-        break;
-      }
-    }
-    if (!is_const && (terminated || j >= tokens.size())) {
-      Emit(file, tokens[i], "snapshot-nonconst",
-           "'" + subject + "' is not const: capturing a fork snapshot must not "
-           "perturb the run, or forked executions diverge from replays",
-           subject, out);
-    }
-  }
-}
-
 // Whole-project pass: every net::Message subclass must have a dynamic_cast
 // dispatch site somewhere, or carry an explicit suppression — the silent
 // unhandled-protocol-event omission the paper catalogs.
@@ -747,8 +618,6 @@ AnalysisResult Analyze(const std::vector<SourceFile>& sources,
     CheckStaticLocals(file, &raw);
     CheckUnorderedIteration(file, &raw);
     CheckAddressDerivedIds(file, &raw);
-    CheckDigestConst(file, &raw);
-    CheckSnapshotConst(file, &raw);
     CheckBadSuppressions(file, &raw);
   }
   CheckUnhandledMessages(sources, &raw);

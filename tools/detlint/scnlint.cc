@@ -1,17 +1,16 @@
 // scnlint: the scenario-corpus rule family. A `.scn` file is executable
-// configuration — a typo'd preset or a fault rule naming a message type
-// that no system ever sends parses into a scenario that silently tests
-// nothing. These checks cross-validate the corpus against the scenario
-// parser, the executor registry, and the structural index's harvest of
-// Message::TypeName() literals, and report through the same finding/
-// baseline/JSON machinery as every other rule.
+// configuration — a fault rule naming a message type that no system ever
+// sends parses into a scenario that silently tests nothing. These checks
+// cross-validate the corpus against the scenario parser (which validates
+// systems and presets against the system registry) and the structural
+// index's harvest of Message::TypeName() literals, and report through the
+// same finding/baseline/JSON machinery as every other rule.
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
 #include "index.h"
-#include "scenario/executor.h"
 #include "scenario/parser.h"
 
 namespace detlint {
@@ -158,20 +157,9 @@ void CheckScenarios(const std::vector<ScnSource>& scenarios, const Index& index,
       }
       continue;
     }
+    // The parser already rejected systems and presets the registry does
+    // not know (a scn-parse finding).
     const scenario::Scenario& scenario = parsed.scenario;
-    // The parser validates system/preset against the same registry, so
-    // these two fire only if the parser's checks and the executor's tables
-    // ever drift apart — exactly the regression they exist to catch.
-    if (!scenario::KnownSystem(scenario.system)) {
-      EmitScn(scn, ScenarioHeaderLine(scn), 1, "scn-unknown-system",
-              "system '" + scenario.system + "' is not in the executor registry",
-              scenario.name + "/" + scenario.system, out);
-    } else if (!scenario::KnownPreset(scenario.system, scenario.preset)) {
-      EmitScn(scn, ScenarioHeaderLine(scn), 1, "scn-unknown-preset",
-              "preset '" + scenario.preset + "' is not in system '" +
-                  scenario.system + "''s preset table",
-              scenario.name + "/" + scenario.preset, out);
-    }
     CheckFaultTypeNames(scn, scenario, index, out);
     CheckExpectBlocks(scn, scenario, out);
   }

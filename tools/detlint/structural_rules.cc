@@ -8,9 +8,6 @@
 //   snapshot-field-coverage  every mutable data member of a class with a
 //                            capture/restore pair must appear in BOTH
 //                            bodies (or carry an allow with a reason)
-//   override-completeness    ISystem subclasses must override Snapshot,
-//                            Restore, and StateDigest together; CaseRunner
-//                            subclasses must pair Snapshot/Restore
 //   digest-taint             a function returning a value minted from
 //                            unordered-container iteration must not feed
 //                            a digest/coverage sink in any caller
@@ -141,47 +138,6 @@ void CheckSnapshotFieldCoverage(const Index& index, std::vector<Finding>* out) {
                    "suppress with the reason it is derived or rebuilt",
                cls.name + "::" + member.name, out);
       }
-    }
-  }
-}
-
-// --- override-completeness --------------------------------------------------
-
-void CheckOverrideCompleteness(const Index& index, std::vector<Finding>* out) {
-  for (const ClassInfo& cls : index.classes) {
-    if (InBench(cls.file->path)) {
-      continue;
-    }
-    const bool isystem = cls.HasBase("ISystem");
-    const bool runner = cls.HasBase("CaseRunner");
-    if (!isystem && !runner) {
-      continue;
-    }
-    const bool has_snapshot = cls.FindMethod("Snapshot") != nullptr;
-    const bool has_restore = cls.FindMethod("Restore") != nullptr;
-    const bool has_digest = cls.FindMethod("StateDigest") != nullptr;
-    if (!has_snapshot && !has_restore) {
-      continue;  // opted out of fork support entirely (a digest alone is fine)
-    }
-    std::vector<std::string> missing;
-    if (!has_snapshot) {
-      missing.push_back("Snapshot");
-    }
-    if (!has_restore) {
-      missing.push_back("Restore");
-    }
-    if (isystem && !has_digest) {
-      missing.push_back("StateDigest");
-    }
-    for (const std::string& method : missing) {
-      EmitAt(*cls.file, cls.line, cls.column, "override-completeness",
-             "'" + cls.name + "' overrides " +
-                 std::string(has_snapshot ? "Snapshot" : "Restore") +
-                 " but not " + method +
-                 ": a capture with no restore path is dead weight and a "
-                 "restore with no capture is a trap — the fork contract "
-                 "(neat/system.h) requires the full set",
-             cls.name + "/" + method, out);
     }
   }
 }
@@ -487,7 +443,6 @@ void CheckDigestTaint(const Index& index, std::vector<Finding>* out) {
 
 void CheckStructuralRules(const Index& index, std::vector<Finding>* out) {
   CheckSnapshotFieldCoverage(index, out);
-  CheckOverrideCompleteness(index, out);
   CheckDigestTaint(index, out);
 }
 
