@@ -30,8 +30,8 @@ namespace {
 constexpr int kNodes = 16;
 constexpr int kRuleCounts[] = {0, 10, 100, 1000};
 
-struct Nop : public net::Message {
-  std::string TypeName() const override { return "Nop"; }
+struct Nop final : net::MessageOf<Nop> {
+  static constexpr net::MessageType kType{"Nop"};
 };
 
 // Keeps measured loops observable so the compiler cannot elide them.

@@ -44,8 +44,8 @@ void BM_SimulatorTimerCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorTimerCancel);
 
-struct Nop : public net::Message {
-  std::string TypeName() const override { return "Nop"; }
+struct Nop final : net::MessageOf<Nop> {
+  static constexpr net::MessageType kType{"Nop"};
 };
 
 void BM_NetworkDelivery(benchmark::State& state) {

@@ -25,9 +25,9 @@ namespace cluster {
 // every server treats *any* message from a member as liveness evidence
 // (FailureDetector::RecordHeartbeat at the top of OnMessage), so there is
 // deliberately no per-type dispatch case for them.
-struct HeartbeatMsg : public net::Message {
+struct HeartbeatMsg final : net::MessageOf<HeartbeatMsg> {
+  static constexpr net::MessageType kType{"Heartbeat"};
   explicit HeartbeatMsg(uint64_t incarnation_in = 0) : incarnation(incarnation_in) {}
-  std::string TypeName() const override { return "Heartbeat"; }
   uint64_t incarnation;
 };
 

@@ -27,7 +27,8 @@ std::string_view DroppedMessageType(const std::string& detail) {
 }
 
 // The events that describe leadership movement across the model systems.
-bool IsLeadershipEvent(const std::string& event) {
+// Names are compared as views: size first, so most probes touch no bytes.
+bool IsLeadershipEvent(std::string_view event) {
   return event == "election-start" || event == "elected" || event == "step-down" ||
          event == "election-timeout" || event == "vote" || event == "master" ||
          event == "resign" || event == "demoted";
@@ -47,6 +48,8 @@ void TraceScan::Advance(const sim::TraceLog& trace) {
   bool have_last = false;
   for (size_t i = pos_; i < records.size(); ++i) {
     const sim::TraceRecord& record = records[i];
+    const std::string_view component = record.component;
+    const std::string_view event = record.event;
 
     if (i > 0) {
       const std::pair<std::string_view, std::string_view> bigram{records[i - 1].event,
@@ -64,21 +67,21 @@ void TraceScan::Advance(const sim::TraceLog& trace) {
       counted = event_counts_.try_emplace(record.event, 0).first;
     }
     ++counted->second;
-    if (IsLeadershipEvent(record.event)) {
+    if (IsLeadershipEvent(event)) {
       leadership_records_.push_back(i);
     }
 
-    if (record.component == "neat") {
-      if (record.event == "partition") {
+    if (component == "neat") {
+      if (event == "partition") {
         phase_ = 'p';
-      } else if (record.event == "heal") {
+      } else if (event == "heal") {
         phase_ = 'h';
       }
       continue;
     }
     std::string_view name;
-    if (record.component == "net") {
-      if (record.event != "drop") {
+    if (component == "net") {
+      if (event != "drop") {
         continue;
       }
       const std::string_view link = DroppedLink(record.detail);
@@ -92,7 +95,7 @@ void TraceScan::Advance(const sim::TraceLog& trace) {
     } else {
       // System-level records (elections, step-downs, session expiries):
       // the event name by phase.
-      name = record.event;
+      name = event;
     }
     const std::pair<char, std::string_view> sighting{phase_, name};
     if (phase_features_.find(sighting) == phase_features_.end()) {

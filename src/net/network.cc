@@ -1,13 +1,32 @@
 #include "net/network.h"
 
 #include <cassert>
+#include <charconv>
+#include <iterator>
 #include <string>
+#include <string_view>
 
 namespace net {
 namespace {
 
-std::string LinkString(NodeId src, NodeId dst) {
-  return std::to_string(src) + "->" + std::to_string(dst);
+// A network record's detail, "<src>-><dst> <type><suffix>", built in one
+// buffer of the final size.
+std::string Detail(NodeId src, NodeId dst, std::string_view type,
+                   std::string_view suffix = {}) {
+  char src_text[12];  // an int32 and its sign
+  char dst_text[12];
+  char* src_end = std::to_chars(std::begin(src_text), std::end(src_text), src).ptr;
+  char* dst_end = std::to_chars(std::begin(dst_text), std::end(dst_text), dst).ptr;
+  std::string detail;
+  detail.reserve(static_cast<size_t>((src_end - src_text) + (dst_end - dst_text)) + 3 +
+                 type.size() + suffix.size());
+  detail.append(src_text, src_end)
+      .append("->")
+      .append(dst_text, dst_end)
+      .append(1, ' ')
+      .append(type)
+      .append(suffix);
+  return detail;
 }
 
 }  // namespace
@@ -53,22 +72,21 @@ void Network::Send(NodeId src, NodeId dst, std::shared_ptr<const Message> msg) {
   if (simulator_->Trace().causal()) {
     envelope.send_record =
         simulator_->Trace().Append(simulator_->Now(), "net", "send",
-                                   LinkString(src, dst) + " " + envelope.msg->TypeName());
+                                   Detail(src, dst, envelope.msg->TypeName()));
   }
 
   if (!connectivity_.Allows(src, dst)) {
     ++messages_dropped_;
-    simulator_->Trace().Append(simulator_->Now(), "net", "drop",
-                               LinkString(src, dst) + " " + envelope.msg->TypeName() +
-                                   " (partitioned at send)");
+    simulator_->Trace().Append(
+        simulator_->Now(), "net", "drop",
+        Detail(src, dst, envelope.msg->TypeName(), " (partitioned at send)"));
     return;
   }
   auto loss = link_loss_.find({src, dst});
   if (loss != link_loss_.end() && rng_.NextBool(loss->second)) {
     ++messages_dropped_;
     simulator_->Trace().Append(simulator_->Now(), "net", "drop",
-                               LinkString(src, dst) + " " + envelope.msg->TypeName() +
-                                   " (flaky link)");
+                               Detail(src, dst, envelope.msg->TypeName(), " (flaky link)"));
     return;
   }
 
@@ -118,17 +136,17 @@ void Network::FlushHeldMessage(InstalledFault& fault) {
   if (!fault.holding) {
     return;
   }
-  simulator_->Trace().Append(simulator_->Now(), "net", "fault",
-                             LinkString(fault.held.src, fault.held.dst) + " " +
-                                 fault.held.msg->TypeName() + " flush",
-                             fault.held.send_record);
+  simulator_->Trace().Append(
+      simulator_->Now(), "net", "fault",
+      Detail(fault.held.src, fault.held.dst, fault.held.msg->TypeName(), " flush"),
+      fault.held.send_record);
   ScheduleDelivery(std::move(fault.held), fault.held_delay);
   fault.holding = false;
   fault.held = Envelope{};
 }
 
 bool Network::ApplyFaults(Envelope& envelope, sim::Duration* delay) {
-  const std::string type = envelope.msg->TypeName();
+  const std::string_view type = envelope.msg->TypeName();
   for (auto& [id, fault] : faults_) {
     const FaultRule& rule = fault.rule;
     if (rule.type_name != type) {
@@ -145,17 +163,18 @@ bool Network::ApplyFaults(Envelope& envelope, sim::Duration* delay) {
     }
     ++fault.matched;
     ++messages_faulted_;
-    const std::string link_and_type = LinkString(envelope.src, envelope.dst) + " " + type;
     switch (rule.action) {
       case FaultRule::Action::kDrop:
         ++messages_dropped_;
         simulator_->Trace().Append(simulator_->Now(), "net", "drop",
-                                   link_and_type + " (fault drop)", envelope.send_record);
+                                   Detail(envelope.src, envelope.dst, type, " (fault drop)"),
+                                   envelope.send_record);
         return true;
       case FaultRule::Action::kDelay:
         *delay += rule.delay;
         simulator_->Trace().Append(simulator_->Now(), "net", "fault",
-                                   link_and_type + " delay", envelope.send_record);
+                                   Detail(envelope.src, envelope.dst, type, " delay"),
+                                   envelope.send_record);
         return false;  // deliver, later
       case FaultRule::Action::kReorder:
         if (!fault.holding) {
@@ -163,13 +182,15 @@ bool Network::ApplyFaults(Envelope& envelope, sim::Duration* delay) {
           fault.held = std::move(envelope);
           fault.held_delay = *delay;
           simulator_->Trace().Append(simulator_->Now(), "net", "fault",
-                                     link_and_type + " hold", fault.held.send_record);
+                                     Detail(fault.held.src, fault.held.dst, type, " hold"),
+                                     fault.held.send_record);
           return true;
         }
         // The successor goes out with its own delay; the held predecessor
         // follows just after it, completing the pairwise swap.
         simulator_->Trace().Append(simulator_->Now(), "net", "fault",
-                                   link_and_type + " swap", envelope.send_record);
+                                   Detail(envelope.src, envelope.dst, type, " swap"),
+                                   envelope.send_record);
         ScheduleDelivery(std::move(envelope), *delay);
         ScheduleDelivery(std::move(fault.held), *delay + sim::Microseconds(1));
         fault.holding = false;
@@ -186,8 +207,8 @@ void Network::Deliver(Envelope envelope) {
   if (!connectivity_.Allows(envelope.src, envelope.dst)) {
     ++messages_dropped_;
     simulator_->Trace().Append(simulator_->Now(), "net", "drop",
-                               LinkString(envelope.src, envelope.dst) + " " +
-                                   envelope.msg->TypeName() + " (partitioned in flight)",
+                               Detail(envelope.src, envelope.dst, envelope.msg->TypeName(),
+                                      " (partitioned in flight)"),
                                envelope.send_record);
     return;
   }
@@ -195,8 +216,8 @@ void Network::Deliver(Envelope envelope) {
   if (envelope.dst < 0 || dst >= handlers_.size() || !handlers_[dst]) {
     ++messages_dropped_;
     simulator_->Trace().Append(simulator_->Now(), "net", "drop",
-                               LinkString(envelope.src, envelope.dst) + " " +
-                                   envelope.msg->TypeName() + " (no receiver)",
+                               Detail(envelope.src, envelope.dst, envelope.msg->TypeName(),
+                                      " (no receiver)"),
                                envelope.send_record);
     return;
   }
@@ -210,8 +231,7 @@ void Network::Deliver(Envelope envelope) {
     // follow-on messages) names this delivery as its cause.
     const uint64_t deliver_record = simulator_->Trace().Append(
         simulator_->Now(), "net", "deliver",
-        LinkString(envelope.src, envelope.dst) + " " + envelope.msg->TypeName(),
-        envelope.send_record);
+        Detail(envelope.src, envelope.dst, envelope.msg->TypeName()), envelope.send_record);
     sim::CauseScope scope(simulator_->Trace(), deliver_record);
     handler(envelope);
     return;

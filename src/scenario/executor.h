@@ -1,6 +1,6 @@
 // Compiles a parsed Scenario onto the NEAT execution machinery.
 //
-// The compilation contract (docs/DESIGN.md): a scenario names a system and
+// The compilation contract (DESIGN.md): a scenario names a system and
 // a variant; the executor resolves that pair through the system registry
 // (neat/registry.h) to the same Options preset and RunnerFactory the
 // hand-written reproductions use, so a DSL run with no message-level

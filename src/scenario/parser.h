@@ -1,6 +1,6 @@
 // Parser for the ".scn" scenario format.
 //
-// The grammar (documented in full in docs/DESIGN.md):
+// The grammar (documented in full in DESIGN.md):
 //
 //   scenario "name" {
 //     system pbkv                 # pbkv | raftkv | locksvc | mqueue

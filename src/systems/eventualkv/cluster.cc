@@ -67,7 +67,7 @@ void Client::Complete(check::OpStatus status, const std::string& value) {
 }
 
 void Client::OnMessage(const net::Envelope& envelope) {
-  const auto* reply = dynamic_cast<const ClientKvReply*>(envelope.msg.get());
+  const auto* reply = envelope.msg->As<ClientKvReply>();
   if (reply == nullptr || !outstanding_ || reply->request_id != current_request_id_) {
     return;
   }

@@ -55,43 +55,43 @@ struct Record {
   }
 };
 
-struct ClientKvRequest : public net::Message {
-  std::string TypeName() const override { return "ekv.ClientRequest"; }
+struct ClientKvRequest final : net::MessageOf<ClientKvRequest> {
+  static constexpr net::MessageType kType{"ekv.ClientRequest"};
   uint64_t request_id = 0;
   enum class Op { kPut, kGet, kDelete } op = Op::kPut;
   std::string key;
   std::string value;
 };
 
-struct ClientKvReply : public net::Message {
-  std::string TypeName() const override { return "ekv.ClientReply"; }
+struct ClientKvReply final : net::MessageOf<ClientKvReply> {
+  static constexpr net::MessageType kType{"ekv.ClientReply"};
   uint64_t request_id = 0;
   bool ok = false;
   std::string value;
 };
 
 // Coordinator -> replica: store this record (write or tombstone).
-struct ReplicaWrite : public net::Message {
-  std::string TypeName() const override { return "ekv.ReplicaWrite"; }
+struct ReplicaWrite final : net::MessageOf<ReplicaWrite> {
+  static constexpr net::MessageType kType{"ekv.ReplicaWrite"};
   uint64_t txn_id = 0;
   std::string key;
   Record record;
 };
 
-struct ReplicaWriteAck : public net::Message {
-  std::string TypeName() const override { return "ekv.ReplicaWriteAck"; }
+struct ReplicaWriteAck final : net::MessageOf<ReplicaWriteAck> {
+  static constexpr net::MessageType kType{"ekv.ReplicaWriteAck"};
   uint64_t txn_id = 0;
 };
 
 // Coordinator -> replica: what is your record for `key`?
-struct ReplicaRead : public net::Message {
-  std::string TypeName() const override { return "ekv.ReplicaRead"; }
+struct ReplicaRead final : net::MessageOf<ReplicaRead> {
+  static constexpr net::MessageType kType{"ekv.ReplicaRead"};
   uint64_t txn_id = 0;
   std::string key;
 };
 
-struct ReplicaReadReply : public net::Message {
-  std::string TypeName() const override { return "ekv.ReplicaReadReply"; }
+struct ReplicaReadReply final : net::MessageOf<ReplicaReadReply> {
+  static constexpr net::MessageType kType{"ekv.ReplicaReadReply"};
   uint64_t txn_id = 0;
   // All sibling records this replica holds for the key (empty if none).
   std::vector<Record> records;
@@ -99,8 +99,8 @@ struct ReplicaReadReply : public net::Message {
 
 // Anti-entropy: full-store digest exchange (small stores; the real systems
 // use Merkle trees, which only changes the transfer cost).
-struct SyncOffer : public net::Message {
-  std::string TypeName() const override { return "ekv.SyncOffer"; }
+struct SyncOffer final : net::MessageOf<SyncOffer> {
+  static constexpr net::MessageType kType{"ekv.SyncOffer"};
   std::map<std::string, std::vector<Record>> records;
 };
 

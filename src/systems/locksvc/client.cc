@@ -99,7 +99,7 @@ void Client::Complete(check::OpStatus status, int64_t counter_value) {
 }
 
 void Client::OnMessage(const net::Envelope& envelope) {
-  const auto* reply = dynamic_cast<const ClientLockReply*>(envelope.msg.get());
+  const auto* reply = envelope.msg->As<ClientLockReply>();
   if (reply == nullptr || !outstanding_ || reply->request_id != current_request_id_) {
     return;
   }

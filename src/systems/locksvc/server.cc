@@ -200,15 +200,15 @@ void Server::OnMessage(const net::Envelope& envelope) {
     }
   }
   const net::Message& msg = *envelope.msg;
-  if (auto* request = dynamic_cast<const ClientLockRequest*>(&msg)) {
+  if (auto* request = msg.As<ClientLockRequest>()) {
     HandleClientRequest(envelope, *request);
-  } else if (auto* apply = dynamic_cast<const PeerApply*>(&msg)) {
+  } else if (auto* apply = msg.As<PeerApply>()) {
     HandlePeerApply(envelope, *apply);
-  } else if (auto* ack = dynamic_cast<const PeerAck*>(&msg)) {
+  } else if (auto* ack = msg.As<PeerAck>()) {
     HandlePeerAck(envelope, *ack);
-  } else if (auto* abort = dynamic_cast<const PeerAbort*>(&msg)) {
+  } else if (auto* abort = msg.As<PeerAbort>()) {
     HandlePeerAbort(*abort);
-  } else if (auto* keepalive = dynamic_cast<const KeepAlive*>(&msg)) {
+  } else if (auto* keepalive = msg.As<KeepAlive>()) {
     HandleKeepAlive(envelope, *keepalive);
   }
 }

@@ -39,18 +39,18 @@ inline Options RabbitMqOptions() {
   return options;
 }
 
-struct JoinRequest : public net::Message {
-  std::string TypeName() const override { return "members.JoinRequest"; }
+struct JoinRequest final : net::MessageOf<JoinRequest> {
+  static constexpr net::MessageType kType{"members.JoinRequest"};
 };
 
-struct JoinAccept : public net::Message {
-  std::string TypeName() const override { return "members.JoinAccept"; }
+struct JoinAccept final : net::MessageOf<JoinAccept> {
+  static constexpr net::MessageType kType{"members.JoinAccept"};
   std::string cluster_id;
   std::vector<net::NodeId> members;
 };
 
-struct MemberGossip : public net::Message {
-  std::string TypeName() const override { return "members.Gossip"; }
+struct MemberGossip final : net::MessageOf<MemberGossip> {
+  static constexpr net::MessageType kType{"members.Gossip"};
   std::string cluster_id;
   std::vector<net::NodeId> members;
 };

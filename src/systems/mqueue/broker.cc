@@ -281,11 +281,11 @@ void Broker::OnMessage(const net::Envelope& envelope) {
     detector_.RecordHeartbeat(envelope.src, Now());
   }
   const net::Message& msg = *envelope.msg;
-  if (dynamic_cast<const zksvc::ZkPong*>(&msg) != nullptr) {
+  if (msg.As<zksvc::ZkPong>() != nullptr) {
     last_zk_pong_ = Now();
     return;
   }
-  if (auto* create_reply = dynamic_cast<const zksvc::ZkCreateReply*>(&msg)) {
+  if (auto* create_reply = msg.As<zksvc::ZkCreateReply>()) {
     create_pending_ = false;
     if (create_reply->ok) {
       is_master_ = true;
@@ -299,7 +299,7 @@ void Broker::OnMessage(const net::Envelope& envelope) {
     }
     return;
   }
-  if (auto* event = dynamic_cast<const zksvc::ZkEvent*>(&msg)) {
+  if (auto* event = msg.As<zksvc::ZkEvent>()) {
     if (event->deleted && !is_master_) {
       TryBecomeMaster();
     } else if (!is_master_) {
@@ -311,7 +311,7 @@ void Broker::OnMessage(const net::Envelope& envelope) {
     }
     return;
   }
-  if (auto* get_reply = dynamic_cast<const zksvc::ZkGetReply*>(&msg)) {
+  if (auto* get_reply = msg.As<zksvc::ZkGetReply>()) {
     if (is_master_) {
       if (!get_reply->exists) {
         // Our session expired while partitioned away; the entry is gone.
@@ -333,28 +333,28 @@ void Broker::OnMessage(const net::Envelope& envelope) {
     }
     return;
   }
-  if (dynamic_cast<const QueueSyncRequest*>(&msg) != nullptr) {
+  if (msg.As<QueueSyncRequest>() != nullptr) {
     auto snapshot = std::make_shared<QueueSnapshot>();
     snapshot->queues = queues_;
     SendEnvelope(envelope.src, snapshot);
     return;
   }
-  if (auto* snapshot = dynamic_cast<const QueueSnapshot*>(&msg)) {
+  if (auto* snapshot = msg.As<QueueSnapshot>()) {
     if (!is_master_) {
       queues_ = snapshot->queues;
       TraceEvent("synced");
     }
     return;
   }
-  if (auto* request = dynamic_cast<const ClientQueueRequest*>(&msg)) {
+  if (auto* request = msg.As<ClientQueueRequest>()) {
     HandleClientRequest(envelope, *request);
     return;
   }
-  if (auto* repl = dynamic_cast<const ReplOp*>(&msg)) {
+  if (auto* repl = msg.As<ReplOp>()) {
     HandleReplOp(envelope, *repl);
     return;
   }
-  if (auto* ack = dynamic_cast<const ReplAck*>(&msg)) {
+  if (auto* ack = msg.As<ReplAck>()) {
     HandleReplAck(envelope, *ack);
     return;
   }

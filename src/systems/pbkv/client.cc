@@ -79,7 +79,7 @@ void Client::Complete(check::OpStatus status, const std::string& value) {
 }
 
 void Client::OnMessage(const net::Envelope& envelope) {
-  const auto* reply = dynamic_cast<const ClientReply*>(envelope.msg.get());
+  const auto* reply = envelope.msg->As<ClientReply>();
   if (reply == nullptr || !outstanding_ || reply->request_id != current_request_id_) {
     return;
   }

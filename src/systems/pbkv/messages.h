@@ -14,8 +14,8 @@ namespace pbkv {
 
 // --- client <-> server ---
 
-struct ClientRequest : public net::Message {
-  std::string TypeName() const override { return "pbkv.ClientRequest"; }
+struct ClientRequest final : net::MessageOf<ClientRequest> {
+  static constexpr net::MessageType kType{"pbkv.ClientRequest"};
   uint64_t request_id = 0;
   OpKind kind = OpKind::kPut;
   bool is_read = false;
@@ -23,8 +23,8 @@ struct ClientRequest : public net::Message {
   std::string value;
 };
 
-struct ClientReply : public net::Message {
-  std::string TypeName() const override { return "pbkv.ClientReply"; }
+struct ClientReply final : net::MessageOf<ClientReply> {
+  static constexpr net::MessageType kType{"pbkv.ClientReply"};
   uint64_t request_id = 0;
   bool ok = false;
   bool not_leader = false;
@@ -34,23 +34,23 @@ struct ClientReply : public net::Message {
 
 // --- replication ---
 
-struct Replicate : public net::Message {
-  std::string TypeName() const override { return "pbkv.Replicate"; }
+struct Replicate final : net::MessageOf<Replicate> {
+  static constexpr net::MessageType kType{"pbkv.Replicate"};
   uint64_t term = 0;
   net::NodeId leader = net::kInvalidNode;
   LogEntry entry;
 };
 
-struct ReplicateAck : public net::Message {
-  std::string TypeName() const override { return "pbkv.ReplicateAck"; }
+struct ReplicateAck final : net::MessageOf<ReplicateAck> {
+  static constexpr net::MessageType kType{"pbkv.ReplicateAck"};
   uint64_t term = 0;
   uint64_t lsn = 0;
 };
 
 // --- leader election ---
 
-struct RequestVote : public net::Message {
-  std::string TypeName() const override { return "pbkv.RequestVote"; }
+struct RequestVote final : net::MessageOf<RequestVote> {
+  static constexpr net::MessageType kType{"pbkv.RequestVote"};
   uint64_t term = 0;
   net::NodeId candidate = net::kInvalidNode;
   uint64_t log_length = 0;
@@ -58,8 +58,8 @@ struct RequestVote : public net::Message {
   int priority = 0;
 };
 
-struct VoteGranted : public net::Message {
-  std::string TypeName() const override { return "pbkv.VoteGranted"; }
+struct VoteGranted final : net::MessageOf<VoteGranted> {
+  static constexpr net::MessageType kType{"pbkv.VoteGranted"};
   uint64_t term = 0;
   bool granted = false;
   // The voter's own current term; a denied candidate with a stale view
@@ -71,8 +71,8 @@ struct VoteGranted : public net::Message {
   net::NodeId leader_hint = net::kInvalidNode;
 };
 
-struct LeaderAnnounce : public net::Message {
-  std::string TypeName() const override { return "pbkv.LeaderAnnounce"; }
+struct LeaderAnnounce final : net::MessageOf<LeaderAnnounce> {
+  static constexpr net::MessageType kType{"pbkv.LeaderAnnounce"};
   uint64_t term = 0;
   net::NodeId leader = net::kInvalidNode;
   uint64_t log_length = 0;
@@ -81,8 +81,8 @@ struct LeaderAnnounce : public net::Message {
 
 // Sent by an arbiter to a deposed primary it can still reach (the MongoDB
 // arbiter "step down" notification).
-struct StepDownCommand : public net::Message {
-  std::string TypeName() const override { return "pbkv.StepDownCommand"; }
+struct StepDownCommand final : net::MessageOf<StepDownCommand> {
+  static constexpr net::MessageType kType{"pbkv.StepDownCommand"};
   uint64_t term = 0;
   net::NodeId leader = net::kInvalidNode;
 };
@@ -91,28 +91,28 @@ struct StepDownCommand : public net::Message {
 
 // Winner -> loser: full state transfer (systems in the study ship either
 // snapshots or logs; we ship the log and rebuild the store).
-struct SyncSnapshot : public net::Message {
-  std::string TypeName() const override { return "pbkv.SyncSnapshot"; }
+struct SyncSnapshot final : net::MessageOf<SyncSnapshot> {
+  static constexpr net::MessageType kType{"pbkv.SyncSnapshot"};
   uint64_t term = 0;
   net::NodeId leader = net::kInvalidNode;
   std::vector<LogEntry> log;
 };
 
-struct SyncRequest : public net::Message {
-  std::string TypeName() const override { return "pbkv.SyncRequest"; }
+struct SyncRequest final : net::MessageOf<SyncRequest> {
+  static constexpr net::MessageType kType{"pbkv.SyncRequest"};
   uint64_t term = 0;
 };
 
 // --- quorum reads ---
 
-struct ReadGuard : public net::Message {
-  std::string TypeName() const override { return "pbkv.ReadGuard"; }
+struct ReadGuard final : net::MessageOf<ReadGuard> {
+  static constexpr net::MessageType kType{"pbkv.ReadGuard"};
   uint64_t term = 0;
   uint64_t guard_id = 0;
 };
 
-struct ReadGuardAck : public net::Message {
-  std::string TypeName() const override { return "pbkv.ReadGuardAck"; }
+struct ReadGuardAck final : net::MessageOf<ReadGuardAck> {
+  static constexpr net::MessageType kType{"pbkv.ReadGuardAck"};
   uint64_t term = 0;
   uint64_t guard_id = 0;
   bool confirms = false;

@@ -270,29 +270,29 @@ void Server::OnMessage(const net::Envelope& envelope) {
     detector_.RecordHeartbeat(envelope.src, Now());
   }
   const net::Message& msg = *envelope.msg;
-  if (auto* request = dynamic_cast<const ClientRequest*>(&msg)) {
+  if (auto* request = msg.As<ClientRequest>()) {
     HandleClientRequest(envelope, *request);
-  } else if (auto* client_reply = dynamic_cast<const ClientReply*>(&msg)) {
+  } else if (auto* client_reply = msg.As<ClientReply>()) {
     HandleForwardedReply(*client_reply);
-  } else if (auto* replicate = dynamic_cast<const Replicate*>(&msg)) {
+  } else if (auto* replicate = msg.As<Replicate>()) {
     HandleReplicate(envelope, *replicate);
-  } else if (auto* ack = dynamic_cast<const ReplicateAck*>(&msg)) {
+  } else if (auto* ack = msg.As<ReplicateAck>()) {
     HandleReplicateAck(envelope, *ack);
-  } else if (auto* vote_req = dynamic_cast<const RequestVote*>(&msg)) {
+  } else if (auto* vote_req = msg.As<RequestVote>()) {
     HandleRequestVote(envelope, *vote_req);
-  } else if (auto* vote = dynamic_cast<const VoteGranted*>(&msg)) {
+  } else if (auto* vote = msg.As<VoteGranted>()) {
     HandleVoteGranted(envelope, *vote);
-  } else if (auto* announce = dynamic_cast<const LeaderAnnounce*>(&msg)) {
+  } else if (auto* announce = msg.As<LeaderAnnounce>()) {
     HandleLeaderAnnounce(envelope, *announce);
-  } else if (auto* stepdown = dynamic_cast<const StepDownCommand*>(&msg)) {
+  } else if (auto* stepdown = msg.As<StepDownCommand>()) {
     HandleStepDownCommand(*stepdown);
-  } else if (dynamic_cast<const SyncRequest*>(&msg) != nullptr) {
+  } else if (msg.As<SyncRequest>() != nullptr) {
     HandleSyncRequest(envelope);
-  } else if (auto* snapshot = dynamic_cast<const SyncSnapshot*>(&msg)) {
+  } else if (auto* snapshot = msg.As<SyncSnapshot>()) {
     HandleSyncSnapshot(*snapshot);
-  } else if (auto* guard = dynamic_cast<const ReadGuard*>(&msg)) {
+  } else if (auto* guard = msg.As<ReadGuard>()) {
     HandleReadGuard(envelope, *guard);
-  } else if (auto* guard_ack = dynamic_cast<const ReadGuardAck*>(&msg)) {
+  } else if (auto* guard_ack = msg.As<ReadGuardAck>()) {
     HandleReadGuardAck(envelope, *guard_ack);
   }
   // HeartbeatMsg needs no handling beyond the liveness recording above.

@@ -84,7 +84,7 @@ void Client::Complete(check::OpStatus status, const std::string& value) {
 }
 
 void Client::OnMessage(const net::Envelope& envelope) {
-  const auto* resp = dynamic_cast<const ClientResponse*>(envelope.msg.get());
+  const auto* resp = envelope.msg->As<ClientResponse>();
   if (resp == nullptr || !outstanding_ || resp->request_id != current_request_id_) {
     return;
   }

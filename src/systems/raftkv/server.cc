@@ -395,17 +395,17 @@ void Server::HandleClientCommand(const net::Envelope& envelope, const ClientComm
 
 void Server::OnMessage(const net::Envelope& envelope) {
   const net::Message& msg = *envelope.msg;
-  if (auto* vote_req = dynamic_cast<const RequestVoteReq*>(&msg)) {
+  if (auto* vote_req = msg.As<RequestVoteReq>()) {
     HandleRequestVote(envelope, *vote_req);
-  } else if (auto* vote_resp = dynamic_cast<const RequestVoteResp*>(&msg)) {
+  } else if (auto* vote_resp = msg.As<RequestVoteResp>()) {
     HandleRequestVoteResp(envelope, *vote_resp);
-  } else if (auto* append = dynamic_cast<const AppendEntriesReq*>(&msg)) {
+  } else if (auto* append = msg.As<AppendEntriesReq>()) {
     HandleAppendEntries(envelope, *append);
-  } else if (auto* append_resp = dynamic_cast<const AppendEntriesResp*>(&msg)) {
+  } else if (auto* append_resp = msg.As<AppendEntriesResp>()) {
     HandleAppendEntriesResp(envelope, *append_resp);
-  } else if (auto* command = dynamic_cast<const ClientCommand*>(&msg)) {
+  } else if (auto* command = msg.As<ClientCommand>()) {
     HandleClientCommand(envelope, *command);
-  } else if (auto* notice = dynamic_cast<const RemoveNotice*>(&msg)) {
+  } else if (auto* notice = msg.As<RemoveNotice>()) {
     const bool excluded = std::find(notice->members.begin(), notice->members.end(), id()) ==
                           notice->members.end();
     if (!removed_ && excluded) {

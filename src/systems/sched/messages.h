@@ -12,57 +12,57 @@ namespace sched {
 
 // --- client <-> ResourceManager / AppMaster ---
 
-struct SubmitTask : public net::Message {
-  std::string TypeName() const override { return "sched.SubmitTask"; }
+struct SubmitTask final : net::MessageOf<SubmitTask> {
+  static constexpr net::MessageType kType{"sched.SubmitTask"};
   uint64_t request_id = 0;
   std::string task_id;
 };
 
-struct SubmitAck : public net::Message {
-  std::string TypeName() const override { return "sched.SubmitAck"; }
+struct SubmitAck final : net::MessageOf<SubmitAck> {
+  static constexpr net::MessageType kType{"sched.SubmitAck"};
   uint64_t request_id = 0;
   bool ok = false;
 };
 
 // Sent by an AppMaster whose commit went through.
-struct ResultNotification : public net::Message {
-  std::string TypeName() const override { return "sched.ResultNotification"; }
+struct ResultNotification final : net::MessageOf<ResultNotification> {
+  static constexpr net::MessageType kType{"sched.ResultNotification"};
   std::string task_id;
   int attempt = 0;
 };
 
 // --- ResourceManager <-> AppMaster host ---
 
-struct StartAppMaster : public net::Message {
-  std::string TypeName() const override { return "sched.StartAppMaster"; }
+struct StartAppMaster final : net::MessageOf<StartAppMaster> {
+  static constexpr net::MessageType kType{"sched.StartAppMaster"};
   std::string task_id;
   int attempt = 0;
   net::NodeId client = net::kInvalidNode;
 };
 
-struct AmHeartbeat : public net::Message {
-  std::string TypeName() const override { return "sched.AmHeartbeat"; }
+struct AmHeartbeat final : net::MessageOf<AmHeartbeat> {
+  static constexpr net::MessageType kType{"sched.AmHeartbeat"};
   std::string task_id;
   int attempt = 0;
 };
 
-struct TaskDone : public net::Message {
-  std::string TypeName() const override { return "sched.TaskDone"; }
+struct TaskDone final : net::MessageOf<TaskDone> {
+  static constexpr net::MessageType kType{"sched.TaskDone"};
   std::string task_id;
   int attempt = 0;
 };
 
 // --- AppMaster <-> workers ---
 
-struct RunContainer : public net::Message {
-  std::string TypeName() const override { return "sched.RunContainer"; }
+struct RunContainer final : net::MessageOf<RunContainer> {
+  static constexpr net::MessageType kType{"sched.RunContainer"};
   std::string task_id;
   int attempt = 0;
   int part = 0;
 };
 
-struct ContainerDone : public net::Message {
-  std::string TypeName() const override { return "sched.ContainerDone"; }
+struct ContainerDone final : net::MessageOf<ContainerDone> {
+  static constexpr net::MessageType kType{"sched.ContainerDone"};
   std::string task_id;
   int attempt = 0;
   int part = 0;
@@ -70,27 +70,27 @@ struct ContainerDone : public net::Message {
 
 // --- output store ---
 
-struct RegisterAttempt : public net::Message {
-  std::string TypeName() const override { return "sched.RegisterAttempt"; }
+struct RegisterAttempt final : net::MessageOf<RegisterAttempt> {
+  static constexpr net::MessageType kType{"sched.RegisterAttempt"};
   std::string task_id;
   int attempt = 0;
 };
 
-struct RecordExecution : public net::Message {
-  std::string TypeName() const override { return "sched.RecordExecution"; }
+struct RecordExecution final : net::MessageOf<RecordExecution> {
+  static constexpr net::MessageType kType{"sched.RecordExecution"};
   std::string task_id;
   int attempt = 0;
   int part = 0;
 };
 
-struct CommitResult : public net::Message {
-  std::string TypeName() const override { return "sched.CommitResult"; }
+struct CommitResult final : net::MessageOf<CommitResult> {
+  static constexpr net::MessageType kType{"sched.CommitResult"};
   std::string task_id;
   int attempt = 0;
 };
 
-struct CommitAck : public net::Message {
-  std::string TypeName() const override { return "sched.CommitAck"; }
+struct CommitAck final : net::MessageOf<CommitAck> {
+  static constexpr net::MessageType kType{"sched.CommitAck"};
   std::string task_id;
   int attempt = 0;
   bool accepted = false;

@@ -12,57 +12,57 @@ namespace zksvc {
 
 // Session keep-alive; the registry expires sessions that stop pinging and
 // deletes their ephemeral entries.
-struct ZkPing : public net::Message {
-  std::string TypeName() const override { return "zk.Ping"; }
+struct ZkPing final : net::MessageOf<ZkPing> {
+  static constexpr net::MessageType kType{"zk.Ping"};
 };
 
-struct ZkPong : public net::Message {
-  std::string TypeName() const override { return "zk.Pong"; }
+struct ZkPong final : net::MessageOf<ZkPong> {
+  static constexpr net::MessageType kType{"zk.Pong"};
 };
 
 // Creates an entry owned by the sender's session. Fails if it exists.
-struct ZkCreate : public net::Message {
-  std::string TypeName() const override { return "zk.Create"; }
+struct ZkCreate final : net::MessageOf<ZkCreate> {
+  static constexpr net::MessageType kType{"zk.Create"};
   uint64_t request_id = 0;
   std::string path;
   std::string data;
   bool ephemeral = true;
 };
 
-struct ZkCreateReply : public net::Message {
-  std::string TypeName() const override { return "zk.CreateReply"; }
+struct ZkCreateReply final : net::MessageOf<ZkCreateReply> {
+  static constexpr net::MessageType kType{"zk.CreateReply"};
   uint64_t request_id = 0;
   bool ok = false;
 };
 
-struct ZkGet : public net::Message {
-  std::string TypeName() const override { return "zk.Get"; }
+struct ZkGet final : net::MessageOf<ZkGet> {
+  static constexpr net::MessageType kType{"zk.Get"};
   uint64_t request_id = 0;
   std::string path;
 };
 
-struct ZkGetReply : public net::Message {
-  std::string TypeName() const override { return "zk.GetReply"; }
+struct ZkGetReply final : net::MessageOf<ZkGetReply> {
+  static constexpr net::MessageType kType{"zk.GetReply"};
   uint64_t request_id = 0;
   bool exists = false;
   std::string data;
 };
 
-struct ZkDelete : public net::Message {
-  std::string TypeName() const override { return "zk.Delete"; }
+struct ZkDelete final : net::MessageOf<ZkDelete> {
+  static constexpr net::MessageType kType{"zk.Delete"};
   uint64_t request_id = 0;
   std::string path;
 };
 
 // Registers interest in a path; one-shot, re-armed by the watcher.
-struct ZkWatch : public net::Message {
-  std::string TypeName() const override { return "zk.Watch"; }
+struct ZkWatch final : net::MessageOf<ZkWatch> {
+  static constexpr net::MessageType kType{"zk.Watch"};
   std::string path;
 };
 
 // Fired when a watched path is created, changed, or deleted.
-struct ZkEvent : public net::Message {
-  std::string TypeName() const override { return "zk.Event"; }
+struct ZkEvent final : net::MessageOf<ZkEvent> {
+  static constexpr net::MessageType kType{"zk.Event"};
   std::string path;
   bool deleted = false;
 };

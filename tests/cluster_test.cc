@@ -15,9 +15,9 @@
 namespace cluster {
 namespace {
 
-struct Note : public net::Message {
+struct Note final : net::MessageOf<Note> {
+  static constexpr net::MessageType kType{"Note"};
   explicit Note(std::string text_in = "") : text(std::move(text_in)) {}
-  std::string TypeName() const override { return "Note"; }
   std::string text;
 };
 
@@ -44,7 +44,7 @@ class Echoer : public Process {
   void OnStart() override { ++starts; }
   void OnRestart() override { ++restarts; }
   void OnMessage(const net::Envelope& envelope) override {
-    auto* note = dynamic_cast<const Note*>(envelope.msg.get());
+    auto* note = envelope.msg->As<Note>();
     if (note != nullptr) {
       seen.push_back(note->text);
     }

@@ -1,22 +1,23 @@
-// Fixture: unhandled-message. PingMsg has a dynamic_cast dispatch site in
+// Fixture: unhandled-message. PingMsg has an As<> dispatch site in
 // server.cc; AckMsg is consumed generically and carries a suppression;
-// OrphanMsg is the silent unhandled-protocol-event omission and is flagged.
-#include <string>
+// OrphanMsg is the silent unhandled-protocol-event omission and is flagged
+// even though `final` sits between its name and its base clause.
+#include "net/message.h"
 
 namespace echo {
 
-struct PingMsg : public net::Message {
-  std::string TypeName() const override { return "Ping"; }
+struct PingMsg final : net::MessageOf<PingMsg> {
+  static constexpr net::MessageType kType{"Ping"};
 };
 
 // detlint: allow(unhandled-message): acks are folded into the client's
 // generic completion path, not dispatched per-type.
-struct AckMsg : public net::Message {
-  std::string TypeName() const override { return "Ack"; }
+struct AckMsg final : net::MessageOf<AckMsg> {
+  static constexpr net::MessageType kType{"Ack"};
 };
 
-struct OrphanMsg : public net::Message {
-  std::string TypeName() const override { return "Orphan"; }
+struct OrphanMsg final : net::MessageOf<OrphanMsg> {
+  static constexpr net::MessageType kType{"Orphan"};
 };
 
 }  // namespace echo

@@ -4,7 +4,7 @@
 namespace echo {
 
 void OnMessage(const net::Envelope& envelope) {
-  if (const auto* ping = dynamic_cast<const PingMsg*>(envelope.msg)) {
+  if (const auto* ping = envelope.msg->As<PingMsg>()) {
     (void)ping;
   }
 }

@@ -1,23 +1,19 @@
-// Fixture: scnlint. Ping's TypeName() literal is what the corpus checks
-// fault rules against; IsPing is the dispatch site that keeps the
+// Fixture: scnlint. Ping's descriptor name is what the corpus checks fault
+// rules against; IsPing is the dispatch site that keeps the
 // unhandled-message rule quiet.
 #ifndef TESTS_DETLINT_FIXTURES_SCN_CORPUS_SRC_MESSAGES_H_
 #define TESTS_DETLINT_FIXTURES_SCN_CORPUS_SRC_MESSAGES_H_
 
-#include <string>
+#include "net/message.h"
 
 namespace fix {
 
-struct Message {
-  virtual ~Message() = default;
+struct Ping final : net::MessageOf<Ping> {
+  static constexpr net::MessageType kType{"fix.Ping"};
 };
 
-struct Ping : public Message {
-  std::string TypeName() const { return "fix.Ping"; }
-};
-
-inline bool IsPing(const Message& m) {
-  return dynamic_cast<const Ping*>(&m) != nullptr;
+inline bool IsPing(const net::Message& m) {
+  return m.As<Ping>() != nullptr;
 }
 
 }  // namespace fix

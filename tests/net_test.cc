@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/failure_detector.h"
 #include "net/connectivity.h"
 #include "net/message.h"
 #include "net/network.h"
@@ -19,9 +20,9 @@
 namespace net {
 namespace {
 
-struct Ping : public Message {
+struct Ping final : MessageOf<Ping> {
+  static constexpr MessageType kType{"Ping"};
   explicit Ping(int seq_in = 0) : seq(seq_in) {}
-  std::string TypeName() const override { return "Ping"; }
   int seq;
 };
 
@@ -376,7 +377,7 @@ TEST_F(NetworkTest, DeliversWithLatency) {
   ASSERT_EQ(received_by_2_.size(), 1u);
   EXPECT_EQ(received_by_2_[0].src, 1);
   EXPECT_EQ(simulator_.Now(), sim::Milliseconds(1));
-  auto* ping = dynamic_cast<const Ping*>(received_by_2_[0].msg.get());
+  auto* ping = received_by_2_[0].msg->As<Ping>();
   ASSERT_NE(ping, nullptr);
   EXPECT_EQ(ping->seq, 7);
 }
@@ -489,11 +490,51 @@ TEST_F(NetworkTest, HandlerMayCrashItsOwnNodeOrRegisterAHigherIdWhileRunning) {
 
 // A second message type so fault-rule matching can be shown to be
 // type-exact (Ping must not match a rule for Pong and vice versa).
-struct Pong : public Message {
+struct Pong final : MessageOf<Pong> {
+  static constexpr MessageType kType{"Pong"};
   explicit Pong(int seq_in = 0) : seq(seq_in) {}
-  std::string TypeName() const override { return "Pong"; }
   int seq;
 };
+
+// A type that reuses Ping's name. Dispatch compares descriptors, not names,
+// so the clash cannot make one type pass for the other.
+struct PingTwin final : MessageOf<PingTwin> {
+  static constexpr MessageType kType{"Ping"};
+};
+
+TEST(MessageTest, AsReturnsTheObjectOnlyForItsExactType) {
+  const Ping ping(3);
+  const Pong pong;
+  const PingTwin twin;
+  const cluster::HeartbeatMsg heartbeat(1);
+  const std::vector<const Message*> messages = {&ping, &pong, &twin, &heartbeat};
+
+  ASSERT_EQ(messages[0]->As<Ping>(), &ping);
+  EXPECT_EQ(messages[0]->As<Ping>()->seq, 3);
+  EXPECT_EQ(messages[1]->As<Pong>(), &pong);
+  EXPECT_EQ(messages[2]->As<PingTwin>(), &twin);
+  EXPECT_EQ(messages[3]->As<cluster::HeartbeatMsg>(), &heartbeat);
+  for (size_t i = 0; i < messages.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(messages[i]->As<Ping>() != nullptr, i == 0);
+    EXPECT_EQ(messages[i]->As<Pong>() != nullptr, i == 1);
+    EXPECT_EQ(messages[i]->As<PingTwin>() != nullptr, i == 2);
+    EXPECT_EQ(messages[i]->As<cluster::HeartbeatMsg>() != nullptr, i == 3);
+  }
+
+  // A copy is its own object of the same type.
+  const Ping copy = ping;
+  EXPECT_EQ(static_cast<const Message&>(copy).As<Ping>(), &copy);
+}
+
+TEST(MessageTest, TypeNameIsTheDescriptorName) {
+  const Ping ping;
+  EXPECT_EQ(ping.TypeName(), "Ping");
+  EXPECT_EQ(ping.TypeName().data(), Ping::kType.name.data());
+  EXPECT_EQ(PingTwin().TypeName(), "Ping");
+  EXPECT_EQ(Pong().TypeName(), "Pong");
+  EXPECT_EQ(cluster::HeartbeatMsg().TypeName(), "Heartbeat");
+}
 
 TEST_F(NetworkTest, FaultDropKillsOnlyTheNamedType) {
   network_.AddFaultRule({.type_name = "Ping", .action = FaultRule::Action::kDrop});
@@ -556,7 +597,7 @@ TEST_F(NetworkTest, FaultReorderSwapsConsecutiveMatches) {
   ASSERT_EQ(received_by_2_.size(), 4u);
   std::vector<int> order;
   for (const Envelope& envelope : received_by_2_) {
-    order.push_back(dynamic_cast<const Ping*>(envelope.msg.get())->seq);
+    order.push_back(envelope.msg->As<Ping>()->seq);
   }
   EXPECT_EQ(order, (std::vector<int>{2, 1, 4, 3}));
 }
@@ -647,7 +688,7 @@ TEST_F(NetworkTest, HeldMessageSurvivesSnapshotRestore) {
   simulator_.RunUntilIdle();
   std::vector<int> order;
   for (const Envelope& envelope : received_by_2_) {
-    order.push_back(dynamic_cast<const Ping*>(envelope.msg.get())->seq);
+    order.push_back(envelope.msg->As<Ping>()->seq);
   }
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
 }

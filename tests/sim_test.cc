@@ -380,8 +380,8 @@ TEST(EventFnTest, ConstructionAndDestructionStayBalanced) {
   EXPECT_EQ(live, 0);
 }
 
-struct AllocationProbe : public net::Message {
-  std::string TypeName() const override { return "AllocationProbe"; }
+struct AllocationProbe final : net::MessageOf<AllocationProbe> {
+  static constexpr net::MessageType kType{"AllocationProbe"};
 };
 
 // Once the kernel's vectors have grown to the workload's high-water mark,
@@ -890,8 +890,8 @@ TEST(SimulatorProperty, MatchesReferenceModelUnderRandomSchedules) {
 namespace sim_golden {
 namespace {
 
-struct Ping : public net::Message {
-  std::string TypeName() const override { return "Ping"; }
+struct Ping final : net::MessageOf<Ping> {
+  static constexpr net::MessageType kType{"Ping"};
 };
 
 uint64_t Fnv1a(const std::string& s) {
@@ -959,8 +959,8 @@ TEST(DeterminismGolden, EventQueueReplaysTheRecordedSchedules) {
 namespace sim_substream {
 namespace {
 
-struct Ping : public net::Message {
-  std::string TypeName() const override { return "Ping"; }
+struct Ping final : net::MessageOf<Ping> {
+  static constexpr net::MessageType kType{"Ping"};
 };
 
 // Satellite regression: the network draws loss and jitter from its own RNG

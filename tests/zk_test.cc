@@ -59,13 +59,13 @@ class Probe : public cluster::Process {
  protected:
   void OnMessage(const net::Envelope& envelope) override {
     const net::Message& msg = *envelope.msg;
-    if (auto* reply = dynamic_cast<const ZkCreateReply*>(&msg)) {
+    if (auto* reply = msg.As<ZkCreateReply>()) {
       create_replies.push_back(reply->ok);
-    } else if (auto* event = dynamic_cast<const ZkEvent*>(&msg)) {
+    } else if (auto* event = msg.As<ZkEvent>()) {
       events.emplace_back(event->path, event->deleted);
-    } else if (auto* get_reply = dynamic_cast<const ZkGetReply*>(&msg)) {
+    } else if (auto* get_reply = msg.As<ZkGetReply>()) {
       get_replies.emplace_back(get_reply->exists, get_reply->data);
-    } else if (dynamic_cast<const ZkPong*>(&msg) != nullptr) {
+    } else if (msg.As<ZkPong>() != nullptr) {
       ++pongs;
     }
   }

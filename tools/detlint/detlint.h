@@ -35,8 +35,9 @@
 //                       and causal edges must be stable log positions;
 //                       an address-derived id breaks fork/replay
 //                       byte-identity
-//   unhandled-message   a net::Message subclass with no dynamic_cast
-//                       dispatch site anywhere in the tree — the silent
+//   unhandled-message   a message struct (`struct X final :
+//                       net::MessageOf<X>`) with no `As<X>` dispatch site
+//                       anywhere in the tree — the silent
 //                       unhandled-protocol-event omission
 //   bad-suppression     a `detlint: allow(...)` comment without a reason
 //
@@ -58,8 +59,9 @@
 // Scenario-corpus rules (scnlint.cc; run over .scn files via --scn):
 //   scn-parse           a corpus file the scenario parser rejects
 //   scn-unknown-message an `inject`/ambient fault type name that matches no
-//                       Message::TypeName() literal in the indexed sources —
-//                       a fault rule that can never fire
+//                       message descriptor name (`MessageType kType{"..."}`)
+//                       in the indexed sources — a fault rule that can
+//                       never fire
 //   scn-missing-expect  a scenario without both `expect flawed` and
 //                       `expect correct` blocks — an unasserted variant
 //

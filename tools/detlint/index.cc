@@ -43,7 +43,10 @@ class FileIndexer {
   FileIndexer(const SourceFile& file, Index* index)
       : file_(file), t_(file.tokens), index_(index) {}
 
-  void Run() { ParseScope(0, t_.size(), nullptr); }
+  void Run() {
+    ParseScope(0, t_.size(), nullptr);
+    HarvestMessageTypeNames();
+  }
 
  private:
   // Index of the '}' matching the '{' at `open` (or the last token when the
@@ -539,19 +542,22 @@ class FileIndexer {
     def.body_end = body_end;
     def.line = t_[name_tok].line;
     index_->functions.push_back(def);
-    if (name == "TypeName") {
-      HarvestTypeName(body_begin, body_end);
-    }
   }
 
-  // Collects the string literal a TypeName() body returns — the protocol
+  // Collects the name each message descriptor declares,
+  // `MessageType kType{"pbkv.Replicate"}` (or `= {...}`) — the protocol
   // vocabulary scnlint validates `inject` clauses against.
-  void HarvestTypeName(size_t body_begin, size_t body_end) {
-    for (size_t j = body_begin; j < body_end; ++j) {
-      if (IsIdentTok(t_[j], "return") && j + 1 <= body_end &&
-          t_[j + 1].kind == TokKind::kString && !t_[j + 1].text.empty()) {
-        index_->message_type_names.insert(t_[j + 1].text);
-        return;
+  void HarvestMessageTypeNames() {
+    for (size_t i = 0; i + 2 < t_.size(); ++i) {
+      if (!IsIdentTok(t_[i], "MessageType") || !IsIdentTok(t_[i + 1], "kType")) {
+        continue;
+      }
+      size_t j = i + 2;
+      while (j < t_.size() && (IsPunct(t_[j], "=") || IsPunct(t_[j], "{"))) {
+        ++j;
+      }
+      if (j < t_.size() && t_[j].kind == TokKind::kString && !t_[j].text.empty()) {
+        index_->message_type_names.insert(t_[j].text);
       }
     }
   }

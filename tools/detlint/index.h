@@ -74,8 +74,8 @@ struct FunctionDef {
 struct Index {
   std::vector<ClassInfo> classes;      // declaration order across all files
   std::vector<FunctionDef> functions;  // out-of-line + free definitions
-  // Every string literal returned by a `TypeName()` body — the protocol
-  // vocabulary scnlint validates `inject` clauses against.
+  // Every name a message descriptor declares (`MessageType kType{"..."}`)
+  // — the protocol vocabulary scnlint validates `inject` clauses against.
   std::set<std::string> message_type_names;
 
   // Locates the body of Class::Method: the inline body if the declaration

@@ -497,9 +497,10 @@ void CheckAddressDerivedIds(const SourceFile& file, std::vector<Finding>* out) {
 
 // --- model-safety rules -----------------------------------------------------
 
-// Whole-project pass: every net::Message subclass must have a dynamic_cast
-// dispatch site somewhere, or carry an explicit suppression — the silent
-// unhandled-protocol-event omission the paper catalogs.
+// Whole-project pass: every message struct (`struct Name final :
+// net::MessageOf<Name> {`) must have an `As<Name>` dispatch site somewhere,
+// or carry an explicit suppression — the silent unhandled-protocol-event
+// omission the paper catalogs.
 void CheckUnhandledMessages(const std::vector<SourceFile>& sources,
                             std::vector<Finding>* out) {
   struct MessageDef {
@@ -516,18 +517,23 @@ void CheckUnhandledMessages(const std::vector<SourceFile>& sources,
     const bool collect_defs = !PathContains(file.path, "bench");
     const std::vector<Token>& tokens = file.tokens;
     for (size_t i = 0; i + 2 < tokens.size(); ++i) {
-      // `struct Name : ... Message ... {`
+      // `struct Name [final] : ... MessageOf<Name> {`
       if ((IsIdent(tokens[i], "struct") || IsIdent(tokens[i], "class")) &&
-          tokens[i + 1].kind == TokKind::kIdentifier &&
-          i + 2 < tokens.size() && tokens[i + 2].text == ":") {
-        bool message_base = false;
+          tokens[i + 1].kind == TokKind::kIdentifier) {
         size_t j = i + 2;
-        for (; j < tokens.size(); ++j) {
-          if (tokens[j].kind == TokKind::kPunct && (tokens[j].text == "{" || tokens[j].text == ";")) {
-            break;
-          }
-          if (IsIdent(tokens[j], "Message")) {
-            message_base = true;
+        if (IsIdent(tokens[j], "final")) {
+          ++j;
+        }
+        bool message_base = false;
+        if (j < tokens.size() && tokens[j].text == ":") {
+          for (; j < tokens.size(); ++j) {
+            if (tokens[j].kind == TokKind::kPunct &&
+                (tokens[j].text == "{" || tokens[j].text == ";")) {
+              break;
+            }
+            if (IsIdent(tokens[j], "MessageOf")) {
+              message_base = true;
+            }
           }
         }
         if (collect_defs && message_base && j < tokens.size() &&
@@ -535,9 +541,9 @@ void CheckUnhandledMessages(const std::vector<SourceFile>& sources,
           messages.push_back(MessageDef{&file, tokens[i + 1], tokens[i + 1].text});
         }
       }
-      // `dynamic_cast<const ns::Name*>` — the last identifier inside the
-      // template argument is the dispatched message type.
-      if (IsIdent(tokens[i], "dynamic_cast") && NextIs(tokens, i, "<")) {
+      // `As<ns::Name>` — the last identifier inside the template argument
+      // is the dispatched message type.
+      if (IsIdent(tokens[i], "As") && NextIs(tokens, i, "<")) {
         std::string last_ident;
         for (size_t j = i + 2; j < tokens.size(); ++j) {
           if (tokens[j].kind == TokKind::kIdentifier) {
@@ -557,9 +563,9 @@ void CheckUnhandledMessages(const std::vector<SourceFile>& sources,
       continue;
     }
     Emit(*message.file, message.token, "unhandled-message",
-         "message type '" + message.name + "' has no dynamic_cast dispatch site in "
-         "the tree: a node receiving it will drop it on the floor — handle it or "
-         "suppress with the reason it is consumed another way",
+         "message type '" + message.name + "' has no As<" + message.name +
+             "> dispatch site in the tree: a node receiving it will drop it on the "
+             "floor — handle it or suppress with the reason it is consumed another way",
          message.name, out);
   }
 }

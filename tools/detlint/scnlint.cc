@@ -3,7 +3,7 @@
 // sends parses into a scenario that silently tests nothing. These checks
 // cross-validate the corpus against the scenario parser (which validates
 // systems and presets against the system registry) and the structural
-// index's harvest of Message::TypeName() literals, and report through the
+// index's harvest of message descriptor names, and report through the
 // same finding/baseline/JSON machinery as every other rule.
 
 #include <algorithm>
@@ -92,9 +92,9 @@ void CheckFaultTypeNames(const ScnSource& scn, const scenario::Scenario& scenari
     }
     EmitScn(scn, line, column, "scn-unknown-message",
             "fault rule targets message type '" + name +
-                "', which matches no Message::TypeName() in the indexed "
-                "sources: the rule can never fire and the scenario tests "
-                "less than it claims",
+                "', which matches no message descriptor (MessageType kType) "
+                "in the indexed sources: the rule can never fire and the "
+                "scenario tests less than it claims",
             scenario.name + "/" + name, out);
   }
 }
