@@ -6,12 +6,20 @@
 // consecutive cases usually share a long event prefix. The classic executor
 // re-builds a fresh cluster and re-executes that shared prefix for every
 // case. The fork executor instead keeps one live runner per seed and a
-// bounded cache of whole-system snapshots keyed by case-prefix digest; a
-// new case restores the snapshot of its longest cached prefix and executes
-// only the suffix. Because snapshots capture the complete deterministic
-// state (simulator clock/sequence/RNG/pending events, network, partition
-// rules, process and history state — see neat/system.h), the forked run is
-// byte-identical to a full replay: same verdict, same trace, same coverage.
+// stack of whole-system snapshots taken at nested prefixes of the last case
+// run on that seed; a new case restores the deepest snapshot within its
+// common prefix with that last case and executes only the suffix. Because
+// snapshots capture the complete deterministic state (simulator
+// clock/sequence/RNG/pending events, network, partition rules, process and
+// history state — see neat/system.h), the forked run is byte-identical to a
+// full replay: same verdict, same trace, same coverage.
+//
+// A case takes at most one snapshot: at its common prefix with the last
+// case, and only when that prefix is deeper than the snapshot it restored.
+// That is where the run tree branches — two cases have now continued
+// differently from it — and so where the next sibling is likely to resume.
+// A state only one case has passed through is not captured: a later case
+// that branches above the deepest snapshot replays from the one below it.
 //
 // Snapshots are only taken at quiescent points — between test events, with
 // the simulator stopped — and only restored into the runner instance that
@@ -23,8 +31,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "neat/execution.h"
 #include "neat/system.h"
@@ -77,8 +85,9 @@ class CaseRunner {
 using RunnerFactory = std::function<std::unique_ptr<CaseRunner>(uint64_t seed)>;
 
 struct ForkOptions {
-  // Per-seed snapshot cache capacity (LRU by use; the post-setup root
-  // snapshot is pinned and does not count against the bound).
+  // Per-seed bound on the snapshot stack; beyond it the oldest non-root
+  // entry is dropped (the post-setup root snapshot is pinned and does not
+  // count against the bound).
   size_t snapshot_cache = 64;
   // Live runners kept across seeds (LRU). Campaigns usually sweep one seed
   // at a time, so a small bound suffices.
@@ -92,7 +101,7 @@ struct ForkStats {
   uint64_t events_applied = 0;    // suffix events actually executed
   uint64_t events_forked_over = 0;  // prefix events reused from a snapshot
   uint64_t snapshots_taken = 0;
-  uint64_t snapshots_evicted = 0;      // LRU-bound and branch-teardown drops
+  uint64_t snapshots_evicted = 0;      // stack-bound and runner-eviction drops
   uint64_t snapshots_invalidated = 0;  // dropped as descendants of a restore
 };
 
@@ -110,31 +119,30 @@ class ForkingExecutor {
 
  private:
   struct CachedSnapshot {
-    TestCase prefix;  // verified on lookup; digests alone could collide
+    size_t length = 0;  // events of the branch's last case it has applied
     std::unique_ptr<SystemState> state;
-    uint64_t last_used = 0;
-    // Capture-order stamp. Snapshots reference positions in the branch's
-    // simulator history (trace sizes, event sequence numbers), so the cache
-    // is only coherent as a chain of ancestors of the live state: restoring
-    // a snapshot invalidates every snapshot captured after it (their
-    // history is about to be rewritten by the new continuation).
-    uint64_t birth = 0;
   };
+  // One seed's live runner and its snapshots. Snapshots reference positions
+  // in the runner's simulator history (trace sizes, event sequence
+  // numbers), so they stay coherent only as a chain of ancestors of the
+  // live state: restoring one drops every snapshot taken after it, whose
+  // history the new continuation rewrites. Every cached snapshot is
+  // therefore a prefix of `last`, and the chain is a stack ordered by
+  // length with the post-setup root at the bottom.
   struct Branch {
+    uint64_t seed = 0;
     std::unique_ptr<CaseRunner> runner;
     bool forkable = false;  // the runner's Snapshot() returned non-null
-    std::map<uint64_t, CachedSnapshot> snapshots;  // prefix digest -> state
-    uint64_t last_used = 0;
+    std::vector<CachedSnapshot> snapshots;
+    TestCase last;  // the case most recently run on this seed
   };
 
   Branch& BranchFor(uint64_t seed);
-  void CacheSnapshot(Branch* branch, const TestCase& prefix, size_t length);
 
   RunnerFactory factory_;
   ForkOptions options_;
-  std::map<uint64_t, Branch> branches_;  // by seed
+  std::vector<Branch> branches_;  // least recently used first
   ForkStats stats_;
-  uint64_t tick_ = 0;  // LRU clock: bumped per cache touch
 };
 
 // Drives a fresh runner from `factory` straight through each case: the

@@ -1215,9 +1215,10 @@ TEST(Fork, SiblingRestoreInvalidatesDescendantSnapshots) {
   // positions in the branch's simulator history (trace sizes, event
   // sequence numbers), so restoring [P] and running a sibling suffix
   // rewrites the history that the cached [P,heal] snapshot points into.
-  // Before the fix, the fourth case below restored that corrupted
-  // snapshot and produced a trace with the sibling's drop record where
-  // the heal record should be.
+  // Before the fix, the last case below restored that corrupted snapshot
+  // and produced a trace with the sibling's drop record where the heal
+  // record should be. [P,heal,heal] runs before the sibling so that the
+  // branch point [P,heal] is cached when the sibling restores [P].
   TestEvent partition;
   partition.kind = EventKind::kPartition;
   partition.partition = PartitionKind::kComplete;
@@ -1233,14 +1234,88 @@ TEST(Fork, SiblingRestoreInvalidatesDescendantSnapshots) {
       ForkingCaseExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()), ForkOptions{}, stats);
   const std::vector<TestCase> cases = {{partition},
                                        {partition, heal},
+                                       {partition, heal, heal},
                                        {partition, minority_write},
                                        {partition, heal, heal}};
   for (const TestCase& test_case : cases) {
     ExpectSameExecution(forked(test_case, 1), replay(test_case, 1));
   }
-  // The third case restores [P], which must invalidate the cached [P,heal]
-  // descendant; the fourth case then re-executes heal instead of reusing it.
+  // The fourth case restores [P], which must invalidate the cached
+  // [P,heal] descendant; the fifth case then re-executes heal instead of
+  // reusing it.
   EXPECT_GT(stats->snapshots_invalidated, 0u);
+}
+
+// A deep-workload-shaped pbkv family: a parent, each of its last
+// `replaced` events swapped for a minority write and a minority read, and
+// one append.
+std::vector<TestCase> BranchingFamily(size_t replaced) {
+  TestEvent partition;
+  partition.kind = EventKind::kPartition;
+  partition.partition = PartitionKind::kComplete;
+  partition.target = IsolationTarget::kLeader;
+  TestEvent heal;
+  heal.kind = EventKind::kHeal;
+  TestEvent write;
+  write.kind = EventKind::kWrite;
+  TestEvent read;
+  read.kind = EventKind::kRead;
+  TestEvent minority_write = write;
+  minority_write.side = Side::kMinority;
+  TestEvent minority_read = read;
+  minority_read.side = Side::kMinority;
+
+  const TestCase parent = {partition, write, heal, write, read, write, read};
+  std::vector<TestCase> family = {parent};
+  for (size_t i = parent.size() - replaced; i < parent.size(); ++i) {
+    for (const TestEvent& alternative : {minority_write, minority_read}) {
+      TestCase mutant = parent;
+      mutant[i] = alternative;
+      family.push_back(mutant);
+    }
+  }
+  TestCase appended = parent;
+  appended.push_back(minority_write);
+  family.push_back(appended);
+  return family;
+}
+
+TEST(Fork, SnapshotsOnlyWhereTheNextCaseBranches) {
+  // The snapshot policy: a case captures at most one state, at its common
+  // prefix with the previous case and only below the snapshot it restored.
+  // On the branching family that is the root plus one snapshot per branch
+  // point — not one per applied event.
+  constexpr size_t kReplaced = 3;
+  const CaseExecutor replay = ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()));
+  auto stats = std::make_shared<ForkStats>();
+  const CaseExecutor forked =
+      ForkingCaseExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()), ForkOptions{}, stats);
+  for (const TestCase& test_case : BranchingFamily(kReplaced)) {
+    ExpectSameExecution(forked(test_case, 1), replay(test_case, 1));
+  }
+  EXPECT_GT(stats->forked_runs, 0u);
+  // The root, at most one per replaced position, and one for the append.
+  EXPECT_LE(stats->snapshots_taken, 1 + kReplaced + 1);
+}
+
+TEST(Fork, SnapshotBoundDropsTheOldestNonRootEntry) {
+  // With room for one snapshot besides the root, each new branch point
+  // evicts the previous one; the survivors must still be ancestors of the
+  // live state, so every case stays byte-identical to replay. The last
+  // case shares no prefix with the family and resumes from the pinned root.
+  std::vector<TestCase> cases = BranchingFamily(3);
+  cases.emplace_back(cases.front().begin() + 1, cases.front().end());
+  ForkOptions options;
+  options.snapshot_cache = 1;
+  const CaseExecutor replay = ReplayExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()));
+  auto stats = std::make_shared<ForkStats>();
+  const CaseExecutor forked =
+      ForkingCaseExecutor(PbkvRunnerFactory(pbkv::VoltDbOptions()), options, stats);
+  for (const TestCase& test_case : cases) {
+    ExpectSameExecution(forked(test_case, 1), replay(test_case, 1));
+  }
+  EXPECT_GT(stats->snapshots_evicted, 0u);
+  EXPECT_GT(stats->forked_runs, 0u);
 }
 
 TEST(Fork, GuidedCampaignWithForkingSessionsMatchesReplayAtAnyThreadCount) {

@@ -4,7 +4,12 @@
 // is exercised by scenario_corpus_test.cc; byte-identity of the four
 // ported reproductions by scenario_conformance_test.cc.
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +19,7 @@
 #include "neat/fork.h"
 #include "scenario/executor.h"
 #include "scenario/parser.h"
+#include "sim/rng.h"
 
 namespace scenario {
 namespace {
@@ -209,6 +215,94 @@ TEST(ScenarioParser, UnreadableFileIsAFileLevelDiagnostic) {
   ASSERT_EQ(parsed.diagnostics.size(), 1u);
   EXPECT_EQ(parsed.diagnostics[0].line, 0);
   EXPECT_EQ(parsed.diagnostics[0].column, 0);
+}
+
+// --- parser: robustness under mutation ---
+
+// The shipped corpus (tests/scenarios/*.scn), as texts in file-name order.
+std::vector<std::pair<std::string, std::string>> CorpusTexts() {
+  std::vector<std::pair<std::string, std::string>> texts;
+  for (const auto& entry : std::filesystem::directory_iterator(SCENARIO_DIR)) {
+    if (entry.is_regular_file() && entry.path().extension() == ".scn") {
+      std::ifstream file(entry.path());
+      std::ostringstream text;
+      text << file.rdbuf();
+      texts.emplace_back(entry.path().filename().string(), text.str());
+    }
+  }
+  std::sort(texts.begin(), texts.end());
+  return texts;
+}
+
+// One byte-level edit of the kind a bad hand edit or a cut-off copy makes.
+std::string Mutate(std::string text, sim::Rng* rng) {
+  const uint64_t size = text.size();
+  // A position in [0, size]; byte edits draw from [0, size) instead.
+  const auto position = [rng, size] { return static_cast<size_t>(rng->NextBelow(size + 1)); };
+  switch (rng->NextBelow(5)) {
+    case 0:  // truncate
+      text.resize(position());
+      break;
+    case 1:  // flip a byte to any other value, NUL and non-ASCII included
+      if (size > 0) {
+        const size_t index = rng->NextBelow(size);
+        text[index] = static_cast<char>(text[index] ^ (1 + rng->NextBelow(255)));
+      }
+      break;
+    case 2:  // swap two bytes
+      if (size > 0) {
+        const size_t first = rng->NextBelow(size);
+        std::swap(text[first], text[rng->NextBelow(size)]);
+      }
+      break;
+    case 3: {  // delete a span
+      const size_t start = position();
+      text.erase(start, rng->NextBelow(size - start + 1));
+      break;
+    }
+    default: {  // duplicate a span at another position
+      const size_t start = position();
+      const std::string span = text.substr(start, rng->NextBelow(size - start + 1));
+      text.insert(position(), span);
+      break;
+    }
+  }
+  return text;
+}
+
+TEST(ScenarioParser, MutatedCorpusYieldsAScenarioOrAnInRangeDiagnostic) {
+  // The parser's contract on malformed input: a diagnostic with a real
+  // position, never a crash or an assert. Each corpus file gets a fixed
+  // number of mutants of one to three stacked edits from a fixed seed, so
+  // the run is deterministic; CI's sanitizer job runs it under ASan/UBSan.
+  constexpr int kMutantsPerFile = 500;
+  const auto corpus = CorpusTexts();
+  ASSERT_FALSE(corpus.empty()) << SCENARIO_DIR;
+  sim::Rng rng(2018);
+  int rejected = 0;
+  for (const auto& [name, original] : corpus) {
+    ASSERT_TRUE(Parse(original).ok) << name;
+    for (int i = 0; i < kMutantsPerFile; ++i) {
+      std::string mutant = original;
+      for (uint64_t edits = 1 + rng.NextBelow(3); edits > 0; --edits) {
+        mutant = Mutate(std::move(mutant), &rng);
+      }
+      const ParseResult parsed = Parse(mutant);
+      if (parsed.ok) {
+        continue;
+      }
+      ++rejected;
+      const int lines = 1 + static_cast<int>(std::count(mutant.begin(), mutant.end(), '\n'));
+      ASSERT_FALSE(parsed.diagnostics.empty()) << name << " mutant " << i << ":\n" << mutant;
+      for (const Diagnostic& diagnostic : parsed.diagnostics) {
+        ASSERT_TRUE(diagnostic.line >= 1 && diagnostic.line <= lines && diagnostic.column >= 1)
+            << name << " mutant " << i << " (" << lines << " lines): "
+            << FormatDiagnostics(parsed) << mutant;
+      }
+    }
+  }
+  // The edits must actually reach the error paths.
+  EXPECT_GT(rejected, kMutantsPerFile);
 }
 
 // --- executor: identity with the legacy machinery ---
