@@ -95,11 +95,14 @@ class CausalFold {
 
   size_t position() const { return pos_; }
 
+  bool operator==(const CausalFold&) const = default;
+
  private:
   struct EdgeStats {
     uint64_t laps = 0;
     uint64_t post_heal_laps = 0;
     bool message = false;  // at least one traversal came from a cause edge
+    bool operator==(const EdgeStats&) const = default;
   };
 
   // Interns `label`, returning its dense index.

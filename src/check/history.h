@@ -53,6 +53,7 @@ struct Operation {
   // Verification reads issued after the partition healed and the system
   // quiesced are marked final; several checkers only apply to them.
   bool final_read = false;
+  bool operator==(const Operation&) const = default;
 };
 
 const char* OpTypeName(OpType type);

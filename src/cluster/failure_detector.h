@@ -8,6 +8,9 @@
 // The detector is passive: the owning Process drives it from a periodic
 // timer (send heartbeats, then evaluate timeouts) and feeds it received
 // heartbeats. This keeps all scheduling epoch-guarded by the owner.
+//
+// It is a plain value: an owner keeps it whole in its state struct, so a
+// snapshot copies it and a restore assigns it with the rest of that state.
 
 #ifndef CLUSTER_FAILURE_DETECTOR_H_
 #define CLUSTER_FAILURE_DETECTOR_H_
@@ -38,8 +41,11 @@ class FailureDetector {
     // Peers are declared dead after this many intervals without a heartbeat
     // ("after missing three heartbeats", as in the MongoDB arbiter failure).
     int miss_threshold = 3;
+    bool operator==(const Options&) const = default;
   };
 
+  // Watches nobody; the owner's constructor assigns the configured one.
+  FailureDetector() = default;
   FailureDetector(net::NodeId self, std::vector<net::NodeId> peers, Options options);
 
   // Marks every peer as freshly heard-from; call on (re)start so a booting
@@ -64,19 +70,14 @@ class FailureDetector {
   const Options& options() const { return options_; }
   net::NodeId self() const { return self_; }
 
-  // Snapshot/restore of the mutable view (self/peers/options are fixed
-  // configuration). Used by the owning process's state capture.
-  const std::map<net::NodeId, sim::Time>& last_heard() const { return last_heard_; }
-  void set_last_heard(std::map<net::NodeId, sim::Time> last_heard) {
-    last_heard_ = std::move(last_heard);
-  }
+  bool operator==(const FailureDetector&) const = default;
 
  private:
   sim::Duration DeathTimeout() const {
     return options_.interval * options_.miss_threshold;
   }
 
-  net::NodeId self_;
+  net::NodeId self_ = net::kInvalidNode;
   std::vector<net::NodeId> peers_;
   Options options_;
   std::map<net::NodeId, sim::Time> last_heard_;

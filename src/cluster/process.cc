@@ -52,16 +52,14 @@ void Process::Restart() {
 }
 
 void Process::RestoreKernel(const KernelState& state) {
-  if (crashed_ != state.crashed) {
-    if (state.crashed) {
+  if (crashed_ != state.crashed_) {
+    if (state.crashed_) {
       network_->Register(id_, nullptr);
     } else {
       RegisterHandler();
     }
   }
-  epoch_ = state.epoch;
-  crashed_ = state.crashed;
-  booted_once_ = state.booted_once;
+  static_cast<KernelState&>(*this) = state;
 }
 
 sim::EventId Process::After(sim::Duration delay, std::function<void()> fn) {

@@ -7,6 +7,14 @@
 // This models the paper's crash API (NEAT "provides an API for crashing any
 // group of nodes") and lets tests distinguish crashed nodes from partitioned
 // ones — the distinction at the heart of the studied failures.
+//
+// Snapshot shape: a subclass keeps every field that changes after
+// construction in one state struct it inherits privately (see
+// pbkv::ServerState), with a defaulted operator==; CaptureState returns
+// that value and RestoreState assigns it. Fields fixed at construction are
+// const. Process does the same with its kernel state (ProcessKernel). A
+// crash keeps every field: Restart re-runs OnStart on the state as the
+// crash left it.
 
 #ifndef CLUSTER_PROCESS_H_
 #define CLUSTER_PROCESS_H_
@@ -22,7 +30,19 @@
 
 namespace cluster {
 
-class Process {
+// The kernel-level incarnation state Process owns. Subclasses keep their
+// own fields in their own state value; this covers what Process itself
+// owns. Restoring the epoch exactly matters: pending timers retained by
+// the simulator guard on `epoch_ == epoch`, so a rewound process must
+// present the epoch its timers were scheduled under.
+struct ProcessKernel {
+  uint64_t epoch_ = 0;
+  bool crashed_ = true;  // not booted yet
+  bool booted_once_ = false;
+  bool operator==(const ProcessKernel&) const = default;
+};
+
+class Process : private ProcessKernel {
  public:
   Process(sim::Simulator* simulator, net::Network* network, net::NodeId id, std::string name);
   virtual ~Process();
@@ -48,18 +68,8 @@ class Process {
   uint64_t incarnation() const { return epoch_; }
 
   // --- snapshot / restore (NEAT fork executor) ---
-  //
-  // The kernel-level incarnation state. Subclasses capture their own fields
-  // separately; this covers what Process itself owns. Restoring the epoch
-  // exactly matters: pending timers retained by the simulator guard on
-  // `epoch_ == epoch`, so a rewound process must present the epoch its
-  // timers were scheduled under.
-  struct KernelState {
-    uint64_t epoch = 0;
-    bool crashed = true;
-    bool booted_once = false;
-  };
-  KernelState CaptureKernel() const { return KernelState{epoch_, crashed_, booted_once_}; }
+  using KernelState = ProcessKernel;
+  KernelState CaptureKernel() const { return *this; }
   // Reinstates the kernel state, re-registering with (or detaching from)
   // the network when the crashed-ness differs from the current one. Does
   // not run the OnStart/OnRestart/OnCrash hooks — the subclass restores its
@@ -101,15 +111,10 @@ class Process {
   void RegisterHandler();
   void ScheduleTick(uint64_t epoch, sim::Duration period, std::function<void()> fn);
 
-  sim::Simulator* simulator_;
-  net::Network* network_;
-  // detlint: allow(snapshot-field): node identity is fixed at construction; RestoreKernel asserts it, never rewrites it
-  net::NodeId id_;
-  // detlint: allow(snapshot-field): debug label fixed at construction; not part of the replayed state
-  std::string name_;
-  uint64_t epoch_ = 0;
-  bool crashed_ = true;  // not booted yet
-  bool booted_once_ = false;
+  sim::Simulator* const simulator_;
+  net::Network* const network_;
+  const net::NodeId id_;
+  const std::string name_;
 };
 
 }  // namespace cluster

@@ -30,33 +30,7 @@ class StateHash {
   uint64_t hash_ = 14695981039346656037ull;
 };
 
-// A cluster's CaptureState wrapped as a SystemState. Restore type-checks
-// with a dynamic_cast, which also enforces the same-system half of the
-// snapshot contract.
-template <class Cluster>
-struct ClusterState final : SystemState {
-  explicit ClusterState(typename Cluster::State captured) : state(std::move(captured)) {}
-  typename Cluster::State state;
-};
-
 }  // namespace
-
-template <class Cluster>
-std::unique_ptr<SystemState> ClusterSystem<Cluster>::Snapshot() const {
-  return std::make_unique<ClusterState<Cluster>>(cluster_.CaptureState());
-}
-
-template <class Cluster>
-void ClusterSystem<Cluster>::Restore(const SystemState& state) {
-  const auto* snapshot = dynamic_cast<const ClusterState<Cluster>*>(&state);
-  assert(snapshot != nullptr && "a system restores only its own snapshots");
-  cluster_.RestoreState(snapshot->state);
-}
-
-template class ClusterSystem<pbkv::Cluster>;
-template class ClusterSystem<raftkv::Cluster>;
-template class ClusterSystem<locksvc::Cluster>;
-template class ClusterSystem<mqueue::Cluster>;
 
 bool LocksvcSystem::GetStatus() {
   const std::string resource = "__status_probe_" + std::to_string(cluster_.history().size());
@@ -120,7 +94,18 @@ const char* PartitionKindName(PartitionKind kind) {
 // re-partition and final heal are uniform across systems. Each install and
 // heal appends a "neat" trace record — the phase markers the coverage
 // signal keys partition-phase edges off (neat/coverage.h).
-class PartitionScript {
+//
+// The installed-partition tracking is part of a forked run's state: the
+// backend rules themselves rewind through the environment snapshot, and
+// this mirrors the script's view of them.
+struct PartitionScriptState {
+  bool partitioned_ = false;
+  net::Partition partition_;
+  net::NodeId isolated_ = net::kInvalidNode;
+  bool operator==(const PartitionScriptState&) const = default;
+};
+
+class PartitionScript : private PartitionScriptState {
  public:
   PartitionScript(TestEnv& env, net::Group servers)
       : env_(env), servers_(std::move(servers)) {}
@@ -168,28 +153,13 @@ class PartitionScript {
     }
   }
 
-  // The installed-partition tracking is part of a forked run's state: the
-  // backend rules themselves rewind through the environment snapshot, and
-  // this mirrors the script's view of them.
-  struct State {
-    bool partitioned = false;
-    net::Partition partition;
-    net::NodeId isolated = net::kInvalidNode;
-  };
-  State CaptureState() const { return State{partitioned_, partition_, isolated_}; }
-  void RestoreState(const State& state) {
-    partitioned_ = state.partitioned;
-    partition_ = state.partition;
-    isolated_ = state.isolated;
-  }
+  using State = PartitionScriptState;
+  State CaptureState() const { return *this; }
+  void RestoreState(const State& state) { static_cast<State&>(*this) = state; }
 
  private:
   TestEnv& env_;
-  // detlint: allow(snapshot-field): script topology is fixed at construction and never mutated mid-run
-  net::Group servers_;
-  bool partitioned_ = false;
-  net::Partition partition_;
-  net::NodeId isolated_ = net::kInvalidNode;
+  const net::Group servers_;
 };
 
 // Samples ISystem::StateDigest between test events and turns the observed
@@ -198,10 +168,19 @@ class PartitionScript {
 // event just appended, so a snapshot taken at an event boundary carries the
 // fold's position — a forked case re-scans only its own suffix instead of
 // the whole trace at Finish.
-class StateObserver {
+struct StateObserverState {
+  uint64_t last_ = 0;
+  std::vector<std::string> features_;
+  TraceScan scan_;
+  bool operator==(const StateObserverState&) const = default;
+};
+
+class StateObserver : private StateObserverState {
  public:
   StateObserver(ISystem& system, const sim::TraceLog& trace)
-      : system_(system), trace_(trace), last_(system.StateDigest()) {}
+      : system_(system), trace_(trace) {
+    last_ = system.StateDigest();
+  }
 
   void Observe() {
     const uint64_t digest = system_.StateDigest();
@@ -229,24 +208,13 @@ class StateObserver {
     return scan_.Report(trace_);
   }
 
-  struct State {
-    uint64_t last = 0;
-    std::vector<std::string> features;
-    TraceScan scan;
-  };
-  State CaptureState() const { return State{last_, features_, scan_}; }
-  void RestoreState(const State& state) {
-    last_ = state.last;
-    features_ = state.features;
-    scan_ = state.scan;
-  }
+  using State = StateObserverState;
+  State CaptureState() const { return *this; }
+  void RestoreState(const State& state) { static_cast<State&>(*this) = state; }
 
  private:
   ISystem& system_;
   const sim::TraceLog& trace_;
-  uint64_t last_;
-  std::vector<std::string> features_;
-  TraceScan scan_;
 };
 
 // --- the case-runner skeleton ---
@@ -336,7 +304,7 @@ class Runner final : public CaseRunner {
 
   std::unique_ptr<SystemState> Snapshot() const override {
     auto state = std::make_unique<State>();
-    state->system = system_.Snapshot();
+    state->cluster = system_.cluster().CaptureState();
     state->script = script_.CaptureState();
     state->observer = observer_.CaptureState();
     state->scalars = scalars_;
@@ -346,7 +314,7 @@ class Runner final : public CaseRunner {
   void Restore(const SystemState& state) override {
     const auto* saved = dynamic_cast<const State*>(&state);
     assert(saved != nullptr && "a runner restores only its own snapshots");
-    system_.Restore(*saved->system);
+    system_.cluster().RestoreState(saved->cluster);
     script_.RestoreState(saved->script);
     observer_.RestoreState(saved->observer);
     scalars_ = saved->scalars;
@@ -354,7 +322,7 @@ class Runner final : public CaseRunner {
 
  private:
   struct State final : SystemState {
-    std::unique_ptr<SystemState> system;
+    typename Cluster::State cluster;
     PartitionScript::State script;
     StateObserver::State observer;
     typename Driver::Scalars scalars;

@@ -23,9 +23,10 @@
 namespace neat {
 
 // The parts every cluster-backed adapter shares: the owned cluster, its
-// environment, crash-all shutdown, and snapshots that wrap the cluster's
-// CaptureState (environment plus every process). Name() reads the key of
-// the registry row whose runners drive this adapter type.
+// environment and crash-all shutdown. Name() reads the key of the registry
+// row whose runners drive this adapter type. The cluster is reachable as a
+// value: its runner snapshots cluster().CaptureState() (environment plus
+// every process) and restores it with cluster().RestoreState().
 template <class Cluster>
 class ClusterSystem : public ISystem {
  public:
@@ -33,8 +34,6 @@ class ClusterSystem : public ISystem {
   std::string Name() const override { return SystemName(*this); }
   TestEnv& Env() override { return cluster_.env(); }
   void Shutdown() override { cluster_.env().Crash(Servers()); }
-  std::unique_ptr<SystemState> Snapshot() const override;
-  void Restore(const SystemState& state) override;
   Cluster& cluster() { return cluster_; }
   const Cluster& cluster() const { return cluster_; }
 
@@ -79,11 +78,6 @@ class MqueueSystem final : public ClusterSystem<mqueue::Cluster> {
   bool GetStatus() override { return cluster_.MasterPerRegistry() != net::kInvalidNode; }
   uint64_t StateDigest() const override;  // registry master + self-believed masters
 };
-
-extern template class ClusterSystem<pbkv::Cluster>;
-extern template class ClusterSystem<raftkv::Cluster>;
-extern template class ClusterSystem<locksvc::Cluster>;
-extern template class ClusterSystem<mqueue::Cluster>;
 
 // --- runner factories ---
 //

@@ -84,8 +84,8 @@ class TestEnv {
   // script steps, never mid-event) and restorable only onto this same env —
   // retained event closures point at the processes registered here. The
   // registered process set itself must be identical at capture and restore
-  // time; process-subclass state is the system adapter's responsibility
-  // (ISystem::Snapshot), not the env's.
+  // time. Each process's own state value is composed by its cluster
+  // (Cluster::CaptureState, beside this State), not by the env.
   struct State {
     sim::Simulator::Checkpoint simulator;
     net::Network::State network;

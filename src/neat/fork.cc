@@ -1,6 +1,7 @@
 #include "neat/fork.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace neat {
@@ -20,46 +21,30 @@ ForkingExecutor::Branch& ForkingExecutor::BranchFor(uint64_t seed) {
                          [seed](const Branch& branch) { return branch.seed == seed; });
   if (it != branches_.end()) {
     std::rotate(it, it + 1, branches_.end());
-  } else {
-    if (branches_.size() >= options_.runner_cache) {
-      stats_.snapshots_evicted += branches_.front().snapshots.size();
-      branches_.erase(branches_.begin());
-    }
-    branches_.emplace_back().seed = seed;
+    return branches_.back();
   }
-  Branch& branch = branches_.back();
-  if (branch.runner == nullptr) {
-    branch.runner = factory_(seed);
-    ++stats_.fresh_runners;
-    // Retention must be on before any event the fork may rewind over is
-    // scheduled; enabling it here (before the root snapshot) also adopts
-    // the events still pending from the constructor's setup phase.
-    branch.runner->Env().simulator().SetEventRetention(true);
-    std::unique_ptr<SystemState> root = branch.runner->Snapshot();
-    branch.forkable = root != nullptr;
-    if (branch.forkable) {
-      ++stats_.snapshots_taken;
-      branch.snapshots.push_back({0, std::move(root)});
-    }
+  if (branches_.size() >= options_.runner_cache) {
+    stats_.snapshots_evicted += branches_.front().snapshots.size();
+    branches_.erase(branches_.begin());
   }
+  Branch& branch = branches_.emplace_back();
+  branch.seed = seed;
+  branch.runner = factory_(seed);
+  ++stats_.fresh_runners;
+  // Retention must be on before any event the fork may rewind over is
+  // scheduled; enabling it here (before the root snapshot) also adopts
+  // the events still pending from the constructor's setup phase.
+  branch.runner->Env().simulator().SetEventRetention(true);
+  std::unique_ptr<SystemState> root = branch.runner->Snapshot();
+  assert(root != nullptr && "CaseRunner::Snapshot never returns null");
+  ++stats_.snapshots_taken;
+  branch.snapshots.push_back({0, std::move(root)});
   return branch;
 }
 
 ExecutionResult ForkingExecutor::Run(const TestCase& test_case, uint64_t seed) {
   Branch& branch = BranchFor(seed);
   ++stats_.cases_run;
-
-  if (!branch.forkable) {
-    // The system does not support snapshots: run the case on the fresh
-    // runner and discard it (Finish perturbs the state and there is no way
-    // back without a snapshot).
-    std::unique_ptr<CaseRunner> runner = std::move(branch.runner);
-    for (const TestEvent& event : test_case) {
-      runner->ApplyEvent(event);
-      ++stats_.events_applied;
-    }
-    return runner->Finish(test_case);
-  }
 
   // Every cached snapshot is a prefix of the last case, so the deepest one
   // within the common prefix is this case's longest cached prefix. The
@@ -88,14 +73,11 @@ ExecutionResult ForkingExecutor::Run(const TestCase& test_case, uint64_t seed) {
     // The branch point (never reached when common == base): the last case
     // continued differently from here, so a sibling may resume here too.
     if (i + 1 == common) {
-      std::unique_ptr<SystemState> state = branch.runner->Snapshot();
-      if (state != nullptr) {
-        ++stats_.snapshots_taken;
-        branch.snapshots.push_back({common, std::move(state)});
-        if (branch.snapshots.size() > options_.snapshot_cache + 1) {
-          branch.snapshots.erase(branch.snapshots.begin() + 1);
-          ++stats_.snapshots_evicted;
-        }
+      ++stats_.snapshots_taken;
+      branch.snapshots.push_back({common, branch.runner->Snapshot()});
+      if (branch.snapshots.size() > options_.snapshot_cache + 1) {
+        branch.snapshots.erase(branch.snapshots.begin() + 1);
+        ++stats_.snapshots_evicted;
       }
     }
   }

@@ -10,9 +10,10 @@
 // run on that seed; a new case restores the deepest snapshot within its
 // common prefix with that last case and executes only the suffix. Because
 // snapshots capture the complete deterministic state (simulator
-// clock/sequence/RNG/pending events, network, partition rules, process and
-// history state — see neat/system.h), the forked run is byte-identical to a
-// full replay: same verdict, same trace, same coverage.
+// clock/sequence/RNG/pending events, network, partition rules, history,
+// and every process's state value — see SystemState below), the forked run
+// is byte-identical to a full replay: same verdict, same trace, same
+// coverage.
 //
 // A case takes at most one snapshot: at its common prefix with the last
 // case, and only when that prefix is deeper than the snapshot it restored.
@@ -39,6 +40,19 @@
 #include "neat/testgen.h"
 
 namespace neat {
+
+// Opaque value snapshot of a runner's complete state — the cluster value
+// (environment plus every server/client process) and the runner's own
+// step state — taken at a quiescent point (no handler mid-flight; in
+// practice: between test events, while the simulator is not running).
+// Each runner derives its own state type; holders only ever pass it back
+// to Restore on the same runner. Snapshots are plain values: they must not
+// capture live closures or pointers into the heap of the system that
+// produced them (the simulator checkpoint stores event ids, not callbacks
+// — see sim::Simulator::Checkpoint).
+struct SystemState {
+  virtual ~SystemState() = default;
+};
 
 // A live system executing one test case event by event. Splitting a case
 // execution into construct / ApplyEvent / Finish is what gives the fork
@@ -68,11 +82,13 @@ class CaseRunner {
   // full original case is passed for the result's trace field.
   virtual ExecutionResult Finish(const TestCase& test_case) = 0;
 
-  // Whole-run state at a quiescent point: the system snapshot plus the
-  // runner's own step state (installed partition, election-sleep flags,
-  // value counters, the coverage observer). Const, so capturing cannot
-  // perturb the run; null when the runner cannot fork, in which case the
-  // fork executor replays every case on a fresh runner.
+  // Whole-run state at a quiescent point: the cluster's state value plus
+  // the runner's own step state (installed partition, election-sleep
+  // flags, value counters, the coverage observer). Never null: every
+  // runner can fork. Const, so capturing cannot perturb the run. Requires
+  // the environment simulator to have event retention enabled before the
+  // events being rewound over were scheduled
+  // (sim::Simulator::SetEventRetention).
   virtual std::unique_ptr<SystemState> Snapshot() const = 0;
 
   // Rewinds to a state previously captured by Snapshot() on this runner.
@@ -132,7 +148,6 @@ class ForkingExecutor {
   struct Branch {
     uint64_t seed = 0;
     std::unique_ptr<CaseRunner> runner;
-    bool forkable = false;  // the runner's Snapshot() returned non-null
     std::vector<CachedSnapshot> snapshots;
     TestCase last;  // the case most recently run on this seed
   };

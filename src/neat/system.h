@@ -8,30 +8,20 @@
 // The second class — the Client wrappers — are each system's Client
 // process; the third — workload and verification — are the tests, benches,
 // and the generated test cases in neat/testgen.h.
+//
+// ISystem has no snapshot API: a case runner (neat/fork.h) snapshots the
+// concrete cluster's state value through its adapter (neat/adapters.h).
 
 #ifndef NEAT_SYSTEM_H_
 #define NEAT_SYSTEM_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "neat/env.h"
 #include "net/message.h"
 
 namespace neat {
-
-// Opaque value snapshot of a system's complete state — environment plus
-// every server/client process — taken at a quiescent point (no handler
-// mid-flight; in practice: between test events, while the simulator is not
-// running). Concrete systems derive their own state type; holders only
-// ever pass it back to Restore on the same instance. Snapshots are plain
-// values: they must not capture live closures or pointers into the heap of
-// the system that produced them (the simulator checkpoint stores event ids,
-// not callbacks — see sim::Simulator::Checkpoint).
-struct SystemState {
-  virtual ~SystemState() = default;
-};
 
 class ISystem {
  public:
@@ -59,18 +49,6 @@ class ISystem {
 
   // Crashes every server node.
   virtual void Shutdown() = 0;
-
-  // Captures the full system state at a quiescent point so a later Restore
-  // can rewind this instance instead of re-executing the prefix that led
-  // here (the fork executor, neat/fork.h). Requires the environment
-  // simulator to have event retention enabled before the events being
-  // rewound over were scheduled (sim::Simulator::SetEventRetention).
-  // Const, like StateDigest: a snapshot must not perturb the run.
-  virtual std::unique_ptr<SystemState> Snapshot() const = 0;
-
-  // Rewinds this instance to a state previously captured by Snapshot() on
-  // the same instance. Only ever called with states this system produced.
-  virtual void Restore(const SystemState& state) = 0;
 };
 
 }  // namespace neat

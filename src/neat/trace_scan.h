@@ -55,6 +55,8 @@ class TraceScan {
 
   size_t position() const { return pos_; }
 
+  bool operator==(const TraceScan&) const = default;
+
  private:
   // Heterogeneous comparators so per-record membership probes use views
   // parsed out of the live records instead of materializing keys.

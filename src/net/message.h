@@ -35,6 +35,15 @@ constexpr NodeId kInvalidNode = -1;
 // An ordered set of nodes, as used by the NEAT partition API.
 using Group = std::vector<NodeId>;
 
+// The ids 1..count: how a cluster numbers its servers.
+inline Group NodeIds(int count) {
+  Group nodes;
+  for (NodeId id = 1; id <= count; ++id) {
+    nodes.push_back(id);
+  }
+  return nodes;
+}
+
 // A message type's static descriptor. Each message struct owns exactly one,
 // as `static constexpr MessageType kType{...}` (an inline variable, so the
 // program holds one object per type).
@@ -101,6 +110,9 @@ struct Envelope {
   // is off). The network uses it to stamp the send->deliver edge of the
   // happens-before graph; it is a stable log position, never an address.
   uint64_t send_record = 0;
+  // Compares the message by identity: a snapshot shares its held
+  // envelopes' immutable messages with the live network.
+  bool operator==(const Envelope&) const = default;
 };
 
 }  // namespace net

@@ -44,6 +44,7 @@ namespace net {
 struct LatencyModel {
   sim::Duration base = sim::Microseconds(200);
   sim::Duration jitter = sim::Microseconds(100);  // uniform in [0, jitter]
+  bool operator==(const LatencyModel&) const = default;
 };
 
 // A message-level fault: drop, delay, or reorder messages of one concrete
@@ -70,18 +71,52 @@ struct FaultRule {
   uint64_t limit = 0;            // max matched messages; 0 = unlimited
   NodeId src = kInvalidNode;     // restrict to a sender; kInvalidNode = any
   NodeId dst = kInvalidNode;     // restrict to a receiver; kInvalidNode = any
+  bool operator==(const FaultRule&) const = default;
 };
 using FaultRuleId = uint64_t;
 
-class Network {
+// One installed fault rule plus its match state. Part of the network's
+// state: a forked run must resume with the same match counters and held
+// reorder message the straight-through run had at the snapshot point. The
+// held envelope's message is an immutable value object, safe to share
+// between a snapshot and the live network.
+struct InstalledFault {
+  FaultRule rule;
+  uint64_t matched = 0;        // messages this rule has acted on
+  bool holding = false;        // kReorder: a message is held back
+  Envelope held;
+  sim::Duration held_delay = 0;  // the held message's drawn delivery delay
+  bool operator==(const InstalledFault&) const = default;
+};
+
+// Value state of the network itself: the private RNG substream, the
+// latency/loss configuration, the message counters, and the fault-rule
+// table with its match state. Handlers are not part of it: they are
+// closures over live processes, and Process kernel restore re-registers
+// or detaches them. The connectivity cache is not either: restoring the
+// partition backend's rules re-syncs it (PartitionBackend::RestoreRules
+// notifies every attached cache).
+struct NetworkState {
+  sim::Rng rng_{1};  // network-private substream: loss + jitter draws only
+  LatencyModel latency_;
+  std::map<std::pair<NodeId, NodeId>, double> link_loss_;
+  uint64_t messages_sent_ = 0;
+  uint64_t messages_delivered_ = 0;
+  uint64_t messages_dropped_ = 0;
+  std::map<FaultRuleId, InstalledFault> faults_;
+  FaultRuleId next_fault_id_ = 1;
+  uint64_t messages_faulted_ = 0;
+  bool operator==(const NetworkState&) const = default;
+};
+
+class Network : private NetworkState {
  public:
   using Handler = std::function<void(const Envelope&)>;
 
   Network(sim::Simulator* simulator, PartitionBackend* backend)
-      : simulator_(simulator),
-        backend_(backend),
-        connectivity_(backend),
-        rng_(simulator->Rand().Fork()) {}
+      : simulator_(simulator), backend_(backend), connectivity_(backend) {
+    rng_ = simulator->Rand().Fork();
+  }
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -145,55 +180,10 @@ class Network {
   uint64_t messages_delivered() const { return messages_delivered_; }
   uint64_t messages_dropped() const { return messages_dropped_; }
 
-  // One installed fault rule plus its match state. Part of Network::State:
-  // a forked run must resume with the same match counters and held reorder
-  // message the straight-through run had at the snapshot point. The held
-  // envelope's message is an immutable value object, safe to share between
-  // a snapshot and the live network.
-  struct InstalledFault {
-    FaultRule rule;
-    uint64_t matched = 0;        // messages this rule has acted on
-    bool holding = false;        // kReorder: a message is held back
-    Envelope held;
-    sim::Duration held_delay = 0;  // the held message's drawn delivery delay
-  };
-
   // --- snapshot / restore (NEAT fork executor) ---
-  //
-  // Value state of the network itself: the private RNG substream, the
-  // latency/loss configuration, the message counters, and the fault-rule
-  // table with its match state. Handlers are NOT captured — they are
-  // closures over live processes, and Process kernel restore re-registers
-  // or detaches them. The connectivity cache is not captured either:
-  // restoring the partition backend's rules re-syncs it
-  // (PartitionBackend::RestoreRules notifies every attached cache).
-  struct State {
-    sim::Rng rng{1};
-    LatencyModel latency;
-    std::map<std::pair<NodeId, NodeId>, double> link_loss;
-    uint64_t messages_sent = 0;
-    uint64_t messages_delivered = 0;
-    uint64_t messages_dropped = 0;
-    std::map<FaultRuleId, InstalledFault> faults;
-    FaultRuleId next_fault_id = 1;
-    uint64_t messages_faulted = 0;
-  };
-  State CaptureState() const {
-    return State{rng_,           latency_,            link_loss_,
-                 messages_sent_, messages_delivered_, messages_dropped_,
-                 faults_,        next_fault_id_,      messages_faulted_};
-  }
-  void RestoreState(const State& state) {
-    rng_ = state.rng;
-    latency_ = state.latency;
-    link_loss_ = state.link_loss;
-    messages_sent_ = state.messages_sent;
-    messages_delivered_ = state.messages_delivered;
-    messages_dropped_ = state.messages_dropped;
-    faults_ = state.faults;
-    next_fault_id_ = state.next_fault_id;
-    messages_faulted_ = state.messages_faulted;
-  }
+  using State = NetworkState;
+  State CaptureState() const { return *this; }
+  void RestoreState(const State& state) { static_cast<State&>(*this) = state; }
 
  private:
   void Deliver(Envelope envelope);
@@ -203,22 +193,13 @@ class Network {
   bool ApplyFaults(Envelope& envelope, sim::Duration* delay);
   void FlushHeldMessage(InstalledFault& fault);
 
-  sim::Simulator* simulator_;
-  PartitionBackend* backend_;
+  sim::Simulator* const simulator_;
+  PartitionBackend* const backend_;
   // detlint: allow(snapshot-field): derived reachability cache; invalidated on every rule change and rebuilt on demand
   ConnectivityCache connectivity_;
-  sim::Rng rng_;  // network-private substream: loss + jitter draws only
-  LatencyModel latency_;
   // Indexed by NodeId; null for crashed and never-registered ids.
   // detlint: allow(snapshot-field): delivery closures are re-registered by Process::RestoreKernel, not value-copied
   std::vector<Handler> handlers_;
-  std::map<std::pair<NodeId, NodeId>, double> link_loss_;
-  uint64_t messages_sent_ = 0;
-  uint64_t messages_delivered_ = 0;
-  uint64_t messages_dropped_ = 0;
-  std::map<FaultRuleId, InstalledFault> faults_;
-  FaultRuleId next_fault_id_ = 1;
-  uint64_t messages_faulted_ = 0;
 };
 
 }  // namespace net

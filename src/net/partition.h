@@ -189,6 +189,7 @@ struct Partition {
   std::vector<RuleId> rules;
   std::string kind;  // "complete" | "partial" | "simplex"
   bool healed = false;
+  bool operator==(const Partition&) const = default;
 };
 
 // The NEAT partition API (Section 6.2): complete / partial / simplex / heal.

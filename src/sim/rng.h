@@ -36,6 +36,8 @@ class Rng {
   // own stream so one component's draws never perturb another's.
   Rng Fork();
 
+  bool operator==(const Rng&) const = default;
+
  private:
   uint64_t state_[4];
 };

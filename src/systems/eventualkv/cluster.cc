@@ -76,9 +76,7 @@ void Client::OnMessage(const net::Envelope& envelope) {
 
 Cluster::Cluster(const Config& config)
     : env_(neat::TestEnv::Options{config.seed, config.use_switch_backend}) {
-  for (int i = 0; i < config.options.num_replicas; ++i) {
-    server_ids_.push_back(static_cast<net::NodeId>(i + 1));
-  }
+  server_ids_ = net::NodeIds(config.options.num_replicas);
   for (net::NodeId id : server_ids_) {
     servers_.push_back(std::make_unique<Server>(&env_.simulator(), &env_.network(), id,
                                                 config.options, server_ids_,

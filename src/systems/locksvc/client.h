@@ -17,7 +17,25 @@
 
 namespace locksvc {
 
-class Client : public cluster::Process {
+// Every field of a Client that changes after construction, as one value
+// (see ServerState).
+struct ClientState {
+  net::NodeId contact_ = net::kInvalidNode;
+  sim::Duration op_timeout_ = sim::Milliseconds(800);
+
+  bool outstanding_ = false;
+  uint64_t next_request_id_ = 1;
+  uint64_t current_request_id_ = 0;
+  int held_resources_ = 0;
+  check::Operation pending_op_;
+  check::Operation last_op_;
+  int64_t last_counter_value_ = 0;
+  sim::EventId timeout_timer_ = sim::kInvalidEventId;
+
+  bool operator==(const ClientState&) const = default;
+};
+
+class Client : public cluster::Process, private ClientState {
  public:
   Client(sim::Simulator* simulator, net::Network* network, net::NodeId id, int client_num,
          std::vector<net::NodeId> servers, check::History* history,
@@ -39,36 +57,9 @@ class Client : public cluster::Process {
   int client_num() const { return client_num_; }
 
   // --- snapshot / restore (NEAT fork executor) ---
-  struct State {
-    net::NodeId contact = net::kInvalidNode;
-    sim::Duration op_timeout = sim::Milliseconds(800);
-    bool outstanding = false;
-    uint64_t next_request_id = 1;
-    uint64_t current_request_id = 0;
-    int held_resources = 0;
-    check::Operation pending_op;
-    check::Operation last_op;
-    int64_t last_counter_value = 0;
-    sim::EventId timeout_timer = sim::kInvalidEventId;
-  };
-  State CaptureState() const {
-    return State{contact_,           op_timeout_,  outstanding_,
-                 next_request_id_,   current_request_id_, held_resources_,
-                 pending_op_,        last_op_,     last_counter_value_,
-                 timeout_timer_};
-  }
-  void RestoreState(const State& state) {
-    contact_ = state.contact;
-    op_timeout_ = state.op_timeout;
-    outstanding_ = state.outstanding;
-    next_request_id_ = state.next_request_id;
-    current_request_id_ = state.current_request_id;
-    held_resources_ = state.held_resources;
-    pending_op_ = state.pending_op;
-    last_op_ = state.last_op;
-    last_counter_value_ = state.last_counter_value;
-    timeout_timer_ = state.timeout_timer;
-  }
+  using State = ClientState;
+  State CaptureState() const { return *this; }
+  void RestoreState(const State& state) { static_cast<State&>(*this) = state; }
 
  protected:
   void OnStart() override;
@@ -79,24 +70,10 @@ class Client : public cluster::Process {
              int permits);
   void Complete(check::OpStatus status, int64_t counter_value);
 
-  // detlint: allow(snapshot-field): client identity fixed at construction
-  int client_num_;
-  // detlint: allow(snapshot-field): server topology fixed at construction
-  std::vector<net::NodeId> servers_;
-  check::History* history_;
-  net::NodeId contact_;
-  sim::Duration op_timeout_ = sim::Milliseconds(800);
-  // detlint: allow(snapshot-field): protocol constant chosen at construction
-  sim::Duration keepalive_interval_;
-
-  bool outstanding_ = false;
-  uint64_t next_request_id_ = 1;
-  uint64_t current_request_id_ = 0;
-  int held_resources_ = 0;
-  check::Operation pending_op_;
-  check::Operation last_op_;
-  int64_t last_counter_value_ = 0;
-  sim::EventId timeout_timer_ = sim::kInvalidEventId;
+  const int client_num_;
+  const std::vector<net::NodeId> servers_;
+  check::History* const history_;
+  const sim::Duration keepalive_interval_;
 };
 
 }  // namespace locksvc

@@ -58,8 +58,7 @@ class Cluster {
   check::Operation RunToCompletion(Client& c);
 
   neat::TestEnv env_;
-  // detlint: allow(snapshot-field): cluster topology fixed at construction
-  std::vector<net::NodeId> server_ids_;
+  const std::vector<net::NodeId> server_ids_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<Client>> clients_;
 };

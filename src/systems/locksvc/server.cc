@@ -8,9 +8,10 @@ Server::Server(sim::Simulator* simulator, net::Network* network, net::NodeId id,
                const Options& options, std::vector<net::NodeId> replicas)
     : cluster::Process(simulator, network, id, "locksvc.n" + std::to_string(id)),
       options_(options),
-      replicas_(std::move(replicas)),
-      detector_(id, replicas_, {options.heartbeat_interval, options.miss_threshold}) {
+      replicas_(std::move(replicas)) {
   view_.insert(replicas_.begin(), replicas_.end());
+  detector_ =
+      cluster::FailureDetector(id, replicas_, {options.heartbeat_interval, options.miss_threshold});
 }
 
 void Server::OnStart() {
@@ -375,30 +376,6 @@ void Server::FinishTxn(uint64_t txn_id, bool ok) {
   reply->ok = ok;
   reply->counter_value = txn.counter_value;
   SendEnvelope(txn.client_node, reply);
-}
-
-Server::State Server::CaptureState() const {
-  State state;
-  state.view = view_;
-  state.locks = locks_;
-  state.semaphores = semaphores_;
-  state.counters = counters_;
-  state.pending = pending_;
-  state.next_txn_id = next_txn_id_;
-  state.leases = leases_;
-  state.detector_last_heard = detector_.last_heard();
-  return state;
-}
-
-void Server::RestoreState(const State& state) {
-  view_ = state.view;
-  locks_ = state.locks;
-  semaphores_ = state.semaphores;
-  counters_ = state.counters;
-  pending_ = state.pending;
-  next_txn_id_ = state.next_txn_id;
-  leases_ = state.leases;
-  detector_.set_last_heard(state.detector_last_heard);
 }
 
 }  // namespace locksvc

@@ -24,34 +24,15 @@
 
 namespace locksvc {
 
-class Server : public cluster::Process {
- public:
-  Server(sim::Simulator* simulator, net::Network* network, net::NodeId id,
-         const Options& options, std::vector<net::NodeId> replicas);
-
-  // --- introspection ---
-  // Client number currently holding `lock` on this replica (0 = free).
-  int LockHolder(const std::string& lock) const;
-  // Clients currently holding permits of `semaphore` on this replica.
-  std::vector<int> SemaphoreHolders(const std::string& semaphore) const;
-  bool SemaphoreBroken(const std::string& semaphore) const;
-  int64_t CounterValue(const std::string& counter) const;
-  const std::set<net::NodeId>& view() const { return view_; }
-
-  // --- snapshot / restore (NEAT fork executor) ---
-  struct State;
-  State CaptureState() const;
-  void RestoreState(const State& state);
-
- protected:
-  void OnStart() override;
-  void OnMessage(const net::Envelope& envelope) override;
-
- private:
+// Every field of a Server that changes after construction, as one value:
+// a snapshot copies it and a restore assigns it (Server::CaptureState).
+// Server inherits it privately, so its handlers name the fields directly.
+struct ServerState {
   struct Semaphore {
     int permits = 1;
     std::multiset<int> holders;
     bool broken = false;
+    bool operator==(const Semaphore&) const = default;
   };
   struct PendingTxn {
     net::NodeId client_node = net::kInvalidNode;
@@ -66,8 +47,55 @@ class Server : public cluster::Process {
     std::set<net::NodeId> applied_on;  // peers to roll back on abort
     size_t needed = 0;
     sim::EventId timer = sim::kInvalidEventId;
+    bool operator==(const PendingTxn&) const = default;
+  };
+  struct ClientLease {
+    net::NodeId node = net::kInvalidNode;
+    sim::Time last_heard = sim::kTimeZero;
+    std::vector<std::pair<ResourceKind, std::string>> holdings;
+    bool operator==(const ClientLease&) const = default;
   };
 
+  std::set<net::NodeId> view_;
+
+  std::map<std::string, int> locks_;  // resource -> holding client (0 free)
+  std::map<std::string, Semaphore> semaphores_;
+  std::map<std::string, int64_t> counters_;
+
+  std::map<uint64_t, PendingTxn> pending_;
+  uint64_t next_txn_id_ = 1;
+
+  std::map<int, ClientLease> leases_;  // by client number; coordinator-side
+
+  cluster::FailureDetector detector_;
+
+  bool operator==(const ServerState&) const = default;
+};
+
+class Server : public cluster::Process, private ServerState {
+ public:
+  Server(sim::Simulator* simulator, net::Network* network, net::NodeId id,
+         const Options& options, std::vector<net::NodeId> replicas);
+
+  // --- introspection ---
+  // Client number currently holding `lock` on this replica (0 = free).
+  int LockHolder(const std::string& lock) const;
+  // Clients currently holding permits of `semaphore` on this replica.
+  std::vector<int> SemaphoreHolders(const std::string& semaphore) const;
+  bool SemaphoreBroken(const std::string& semaphore) const;
+  int64_t CounterValue(const std::string& counter) const;
+  const std::set<net::NodeId>& view() const { return view_; }
+
+  // --- snapshot / restore (NEAT fork executor) ---
+  using State = ServerState;
+  State CaptureState() const { return *this; }
+  void RestoreState(const State& state) { static_cast<State&>(*this) = state; }
+
+ protected:
+  void OnStart() override;
+  void OnMessage(const net::Envelope& envelope) override;
+
+ private:
   void Tick();
   void HandleClientRequest(const net::Envelope& envelope, const ClientLockRequest& request);
   void HandlePeerApply(const net::Envelope& envelope, const PeerApply& msg);
@@ -87,38 +115,8 @@ class Server : public cluster::Process {
   void TrackHolding(int client, net::NodeId client_node, ResourceKind kind,
                     const std::string& resource, bool add);
 
-  // detlint: allow(snapshot-field): configuration fixed at construction
-  Options options_;
-  // detlint: allow(snapshot-field): replica topology fixed at construction
-  std::vector<net::NodeId> replicas_;
-  std::set<net::NodeId> view_;
-
-  std::map<std::string, int> locks_;  // resource -> holding client (0 free)
-  std::map<std::string, Semaphore> semaphores_;
-  std::map<std::string, int64_t> counters_;
-
-  std::map<uint64_t, PendingTxn> pending_;
-  uint64_t next_txn_id_ = 1;
-
-  struct ClientLease {
-    net::NodeId node = net::kInvalidNode;
-    sim::Time last_heard = sim::kTimeZero;
-    std::vector<std::pair<ResourceKind, std::string>> holdings;
-  };
-  std::map<int, ClientLease> leases_;  // by client number; coordinator-side
-
-  cluster::FailureDetector detector_;
-};
-
-struct Server::State {
-  std::set<net::NodeId> view;
-  std::map<std::string, int> locks;
-  std::map<std::string, Semaphore> semaphores;
-  std::map<std::string, int64_t> counters;
-  std::map<uint64_t, PendingTxn> pending;
-  uint64_t next_txn_id = 1;
-  std::map<int, ClientLease> leases;
-  std::map<net::NodeId, sim::Time> detector_last_heard;
+  const Options options_;
+  const std::vector<net::NodeId> replicas_;
 };
 
 }  // namespace locksvc

@@ -96,9 +96,7 @@ void Node::OnMessage(const net::Envelope& envelope) {
 
 Deployment::Deployment(const Config& config)
     : env_(neat::TestEnv::Options{config.seed, true}) {
-  for (int i = 0; i < config.num_nodes; ++i) {
-    node_ids_.push_back(static_cast<net::NodeId>(i + 1));
-  }
+  node_ids_ = net::NodeIds(config.num_nodes);
   for (net::NodeId id : node_ids_) {
     nodes_.push_back(
         std::make_unique<Node>(&env_.simulator(), &env_.network(), id, config.options,

@@ -13,8 +13,10 @@ Broker::Broker(sim::Simulator* simulator, net::Network* network, net::NodeId id,
     : cluster::Process(simulator, network, id, "mq.b" + std::to_string(id)),
       options_(options),
       brokers_(std::move(brokers)),
-      zk_(zk),
-      detector_(id, brokers_, {options.heartbeat_interval, options.miss_threshold}) {}
+      zk_(zk) {
+  detector_ =
+      cluster::FailureDetector(id, brokers_, {options.heartbeat_interval, options.miss_threshold});
+}
 
 void Broker::OnStart() {
   last_zk_pong_ = Now();
@@ -358,30 +360,6 @@ void Broker::OnMessage(const net::Envelope& envelope) {
     HandleReplAck(envelope, *ack);
     return;
   }
-}
-
-Broker::State Broker::CaptureState() const {
-  State state;
-  state.is_master = is_master_;
-  state.create_pending = create_pending_;
-  state.last_zk_pong = last_zk_pong_;
-  state.next_zk_request = next_zk_request_;
-  state.next_seq = next_seq_;
-  state.queues = queues_;
-  state.pending = pending_;
-  state.detector_last_heard = detector_.last_heard();
-  return state;
-}
-
-void Broker::RestoreState(const State& state) {
-  is_master_ = state.is_master;
-  create_pending_ = state.create_pending;
-  last_zk_pong_ = state.last_zk_pong;
-  next_zk_request_ = state.next_zk_request;
-  next_seq_ = state.next_seq;
-  queues_ = state.queues;
-  pending_ = state.pending;
-  detector_.set_last_heard(state.detector_last_heard);
 }
 
 }  // namespace mqueue

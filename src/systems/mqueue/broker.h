@@ -18,25 +18,10 @@
 
 namespace mqueue {
 
-class Broker : public cluster::Process {
- public:
-  Broker(sim::Simulator* simulator, net::Network* network, net::NodeId id,
-         const Options& options, std::vector<net::NodeId> brokers, net::NodeId zk);
-
-  bool is_master() const { return is_master_; }
-  size_t QueueSize(const std::string& queue) const;
-  bool QueueContains(const std::string& queue, const std::string& value) const;
-
-  // --- snapshot / restore (NEAT fork executor) ---
-  struct State;
-  State CaptureState() const;
-  void RestoreState(const State& state);
-
- protected:
-  void OnStart() override;
-  void OnMessage(const net::Envelope& envelope) override;
-
- private:
+// Every field of a Broker that changes after construction, as one value:
+// a snapshot copies it and a restore assigns it (Broker::CaptureState).
+// Broker inherits it privately, so its handlers name the fields directly.
+struct BrokerState {
   struct PendingOp {
     net::NodeId client = net::kInvalidNode;
     uint64_t request_id = 0;
@@ -46,8 +31,40 @@ class Broker : public cluster::Process {
     std::set<net::NodeId> acks;
     size_t needed = 0;
     sim::EventId timer = sim::kInvalidEventId;
+    bool operator==(const PendingOp&) const = default;
   };
 
+  bool is_master_ = false;
+  bool create_pending_ = false;
+  sim::Time last_zk_pong_ = sim::kTimeZero;
+  uint64_t next_zk_request_ = 1;
+  uint64_t next_seq_ = 1;
+  std::map<std::string, std::deque<std::string>> queues_;
+  std::map<uint64_t, PendingOp> pending_;
+  cluster::FailureDetector detector_;
+
+  bool operator==(const BrokerState&) const = default;
+};
+
+class Broker : public cluster::Process, private BrokerState {
+ public:
+  Broker(sim::Simulator* simulator, net::Network* network, net::NodeId id,
+         const Options& options, std::vector<net::NodeId> brokers, net::NodeId zk);
+
+  bool is_master() const { return is_master_; }
+  size_t QueueSize(const std::string& queue) const;
+  bool QueueContains(const std::string& queue, const std::string& value) const;
+
+  // --- snapshot / restore (NEAT fork executor) ---
+  using State = BrokerState;
+  State CaptureState() const { return *this; }
+  void RestoreState(const State& state) { static_cast<State&>(*this) = state; }
+
+ protected:
+  void OnStart() override;
+  void OnMessage(const net::Envelope& envelope) override;
+
+ private:
   void Tick();
   void TryBecomeMaster();
   void ResignMastership(const std::string& reason);
@@ -63,31 +80,9 @@ class Broker : public cluster::Process {
   // Applies an op to the local queues. For dequeue, removes `value`.
   void ApplyLocal(QueueOp op, const std::string& queue, const std::string& value);
 
-  // detlint: allow(snapshot-field): configuration fixed at construction
-  Options options_;
-  // detlint: allow(snapshot-field): broker topology fixed at construction
-  std::vector<net::NodeId> brokers_;
-  // detlint: allow(snapshot-field): registry address fixed at construction
-  net::NodeId zk_;
-  bool is_master_ = false;
-  bool create_pending_ = false;
-  sim::Time last_zk_pong_ = sim::kTimeZero;
-  uint64_t next_zk_request_ = 1;
-  uint64_t next_seq_ = 1;
-  std::map<std::string, std::deque<std::string>> queues_;
-  std::map<uint64_t, PendingOp> pending_;
-  cluster::FailureDetector detector_;
-};
-
-struct Broker::State {
-  bool is_master = false;
-  bool create_pending = false;
-  sim::Time last_zk_pong = sim::kTimeZero;
-  uint64_t next_zk_request = 1;
-  uint64_t next_seq = 1;
-  std::map<std::string, std::deque<std::string>> queues;
-  std::map<uint64_t, PendingOp> pending;
-  std::map<net::NodeId, sim::Time> detector_last_heard;
+  const Options options_;
+  const std::vector<net::NodeId> brokers_;
+  const net::NodeId zk_;  // the registry
 };
 
 }  // namespace mqueue

@@ -12,7 +12,23 @@
 
 namespace mqueue {
 
-class Client : public cluster::Process {
+// Every field of a Client that changes after construction, as one value
+// (see BrokerState).
+struct ClientState {
+  net::NodeId contact_ = net::kInvalidNode;
+  sim::Duration op_timeout_ = sim::Milliseconds(800);
+
+  bool outstanding_ = false;
+  uint64_t next_request_id_ = 1;
+  uint64_t current_request_id_ = 0;
+  check::Operation pending_op_;
+  check::Operation last_op_;
+  sim::EventId timeout_timer_ = sim::kInvalidEventId;
+
+  bool operator==(const ClientState&) const = default;
+};
+
+class Client : public cluster::Process, private ClientState {
  public:
   Client(sim::Simulator* simulator, net::Network* network, net::NodeId id, int client_num,
          std::vector<net::NodeId> brokers, check::History* history);
@@ -28,30 +44,9 @@ class Client : public cluster::Process {
   int client_num() const { return client_num_; }
 
   // --- snapshot / restore (NEAT fork executor) ---
-  struct State {
-    net::NodeId contact = net::kInvalidNode;
-    sim::Duration op_timeout = sim::Milliseconds(800);
-    bool outstanding = false;
-    uint64_t next_request_id = 1;
-    uint64_t current_request_id = 0;
-    check::Operation pending_op;
-    check::Operation last_op;
-    sim::EventId timeout_timer = sim::kInvalidEventId;
-  };
-  State CaptureState() const {
-    return State{contact_,     op_timeout_, outstanding_,  next_request_id_,
-                 current_request_id_, pending_op_, last_op_, timeout_timer_};
-  }
-  void RestoreState(const State& state) {
-    contact_ = state.contact;
-    op_timeout_ = state.op_timeout;
-    outstanding_ = state.outstanding;
-    next_request_id_ = state.next_request_id;
-    current_request_id_ = state.current_request_id;
-    pending_op_ = state.pending_op;
-    last_op_ = state.last_op;
-    timeout_timer_ = state.timeout_timer;
-  }
+  using State = ClientState;
+  State CaptureState() const { return *this; }
+  void RestoreState(const State& state) { static_cast<State&>(*this) = state; }
 
  protected:
   void OnMessage(const net::Envelope& envelope) override;
@@ -61,20 +56,9 @@ class Client : public cluster::Process {
              const std::string& value, bool final_drain);
   void Complete(check::OpStatus status, const std::string& value);
 
-  // detlint: allow(snapshot-field): client identity fixed at construction
-  int client_num_;
-  // detlint: allow(snapshot-field): broker topology fixed at construction
-  std::vector<net::NodeId> brokers_;
-  check::History* history_;
-  net::NodeId contact_;
-  sim::Duration op_timeout_ = sim::Milliseconds(800);
-
-  bool outstanding_ = false;
-  uint64_t next_request_id_ = 1;
-  uint64_t current_request_id_ = 0;
-  check::Operation pending_op_;
-  check::Operation last_op_;
-  sim::EventId timeout_timer_ = sim::kInvalidEventId;
+  const int client_num_;
+  const std::vector<net::NodeId> brokers_;
+  check::History* const history_;
 };
 
 }  // namespace mqueue

@@ -5,14 +5,11 @@
 namespace mqueue {
 
 Cluster::Cluster(const Config& config)
-    : env_(neat::TestEnv::Options{config.seed, config.use_switch_backend}) {
+    : env_(neat::TestEnv::Options{config.seed, config.use_switch_backend}),
+      broker_ids_(net::NodeIds(config.options.num_brokers)) {
   if (config.options.causal_trace) {
     env_.simulator().Trace().set_causal(true);
   }
-  for (int i = 0; i < config.options.num_brokers; ++i) {
-    broker_ids_.push_back(static_cast<net::NodeId>(i + 1));
-  }
-  zk_id_ = 50;
   zksvc::Registry::Options zk_options;
   zk_options.session_timeout = config.options.zk_session_timeout;
   registry_ = std::make_unique<zksvc::Registry>(&env_.simulator(), &env_.network(), zk_id_,

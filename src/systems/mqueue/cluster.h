@@ -63,10 +63,8 @@ class Cluster {
   check::Operation RunToCompletion(Client& c);
 
   neat::TestEnv env_;
-  // detlint: allow(snapshot-field): cluster topology fixed at construction
-  std::vector<net::NodeId> broker_ids_;
-  // detlint: allow(snapshot-field): registry address fixed at construction
-  net::NodeId zk_id_ = net::kInvalidNode;
+  const std::vector<net::NodeId> broker_ids_;
+  const net::NodeId zk_id_ = 50;
   std::vector<std::unique_ptr<Broker>> brokers_;
   std::unique_ptr<zksvc::Registry> registry_;
   std::vector<std::unique_ptr<Client>> clients_;

@@ -16,7 +16,27 @@
 
 namespace pbkv {
 
-class Client : public cluster::Process {
+// Every field of a Client that changes after construction, as one value
+// (see ServerState).
+struct ClientState {
+  net::NodeId contact_ = net::kInvalidNode;
+  bool allow_redirect_ = true;
+  sim::Duration op_timeout_ = sim::Milliseconds(800);
+
+  bool outstanding_ = false;
+  OpKind request_kind_ = OpKind::kPut;
+  bool request_is_read_ = false;
+  uint64_t next_request_id_ = 1;
+  uint64_t current_request_id_ = 0;
+  int redirects_left_ = 0;
+  check::Operation pending_op_;
+  check::Operation last_op_;
+  sim::EventId timeout_timer_ = sim::kInvalidEventId;
+
+  bool operator==(const ClientState&) const = default;
+};
+
+class Client : public cluster::Process, private ClientState {
  public:
   Client(sim::Simulator* simulator, net::Network* network, net::NodeId id, int client_num,
          std::vector<net::NodeId> servers, check::History* history);
@@ -42,40 +62,9 @@ class Client : public cluster::Process {
   int client_num() const { return client_num_; }
 
   // --- snapshot / restore (NEAT fork executor) ---
-  struct State {
-    net::NodeId contact = net::kInvalidNode;
-    bool allow_redirect = true;
-    sim::Duration op_timeout = sim::Milliseconds(800);
-    bool outstanding = false;
-    OpKind request_kind = OpKind::kPut;
-    bool request_is_read = false;
-    uint64_t next_request_id = 1;
-    uint64_t current_request_id = 0;
-    int redirects_left = 0;
-    check::Operation pending_op;
-    check::Operation last_op;
-    sim::EventId timeout_timer = sim::kInvalidEventId;
-  };
-  State CaptureState() const {
-    return State{contact_,           allow_redirect_, op_timeout_,
-                 outstanding_,       request_kind_,   request_is_read_,
-                 next_request_id_,   current_request_id_, redirects_left_,
-                 pending_op_,        last_op_,        timeout_timer_};
-  }
-  void RestoreState(const State& state) {
-    contact_ = state.contact;
-    allow_redirect_ = state.allow_redirect;
-    op_timeout_ = state.op_timeout;
-    outstanding_ = state.outstanding;
-    request_kind_ = state.request_kind;
-    request_is_read_ = state.request_is_read;
-    next_request_id_ = state.next_request_id;
-    current_request_id_ = state.current_request_id;
-    redirects_left_ = state.redirects_left;
-    pending_op_ = state.pending_op;
-    last_op_ = state.last_op;
-    timeout_timer_ = state.timeout_timer;
-  }
+  using State = ClientState;
+  State CaptureState() const { return *this; }
+  void RestoreState(const State& state) { static_cast<State&>(*this) = state; }
 
  protected:
   void OnMessage(const net::Envelope& envelope) override;
@@ -86,24 +75,9 @@ class Client : public cluster::Process {
   void SendRequest(net::NodeId target);
   void Complete(check::OpStatus status, const std::string& value);
 
-  // detlint: allow(snapshot-field): client identity fixed at construction
-  int client_num_;
-  // detlint: allow(snapshot-field): server topology fixed at construction
-  std::vector<net::NodeId> servers_;
-  check::History* history_;
-  net::NodeId contact_ = net::kInvalidNode;
-  bool allow_redirect_ = true;
-  sim::Duration op_timeout_ = sim::Milliseconds(800);
-
-  bool outstanding_ = false;
-  OpKind request_kind_ = OpKind::kPut;
-  bool request_is_read_ = false;
-  uint64_t next_request_id_ = 1;
-  uint64_t current_request_id_ = 0;
-  int redirects_left_ = 0;
-  check::Operation pending_op_;
-  check::Operation last_op_;
-  sim::EventId timeout_timer_ = sim::kInvalidEventId;
+  const int client_num_;
+  const std::vector<net::NodeId> servers_;
+  check::History* const history_;
 };
 
 }  // namespace pbkv

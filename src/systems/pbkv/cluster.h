@@ -73,10 +73,8 @@ class Cluster {
   check::Operation RunToCompletion(Client& c);
 
   neat::TestEnv env_;
-  // detlint: allow(snapshot-field): cluster topology fixed at construction
-  std::vector<net::NodeId> server_ids_;
-  // detlint: allow(snapshot-field): arbiter address fixed at construction
-  net::NodeId arbiter_id_ = net::kInvalidNode;
+  const std::vector<net::NodeId> server_ids_;
+  const net::NodeId arbiter_id_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<Client>> clients_;
 };

@@ -8,20 +8,27 @@ namespace {
 
 size_t MajorityOf(size_t n) { return n / 2 + 1; }
 
+std::vector<net::NodeId> Sorted(std::vector<net::NodeId> nodes) {
+  std::sort(nodes.begin(), nodes.end());
+  return nodes;
+}
+
+std::vector<net::NodeId> WithArbiter(std::vector<net::NodeId> replicas, net::NodeId arbiter) {
+  if (arbiter != net::kInvalidNode) {
+    replicas.push_back(arbiter);
+  }
+  return replicas;
+}
+
 }  // namespace
 
 Server::Server(sim::Simulator* simulator, net::Network* network, net::NodeId id,
                const Options& options, std::vector<net::NodeId> replicas, net::NodeId arbiter)
     : cluster::Process(simulator, network, id, "pbkv.n" + std::to_string(id)),
       options_(options),
-      replicas_(std::move(replicas)),
+      replicas_(Sorted(std::move(replicas))),
       arbiter_(arbiter),
-      detector_(id, {}, {options.heartbeat_interval, options.election_miss_threshold}) {
-  std::sort(replicas_.begin(), replicas_.end());
-  members_ = replicas_;
-  if (arbiter_ != net::kInvalidNode) {
-    members_.push_back(arbiter_);
-  }
+      members_(WithArbiter(replicas_, arbiter)) {
   detector_ = cluster::FailureDetector(
       id, members_, {options.heartbeat_interval, options.election_miss_threshold});
 }
@@ -753,50 +760,6 @@ void Server::HandleReadGuardAck(const net::Envelope& envelope, const ReadGuardAc
     ReplyToClient(it->second.client, it->second.request_id, /*ok=*/true, value.value_or(""));
     pending_reads_.erase(it);
   }
-}
-
-Server::State Server::CaptureState() const {
-  State state;
-  state.role = role_;
-  state.term = term_;
-  state.current_leader = current_leader_;
-  state.voted_term = voted_term_;
-  state.votes = votes_;
-  state.election_scheduled = election_scheduled_;
-  state.last_leader_contact = last_leader_contact_;
-  state.primary_conflict_backoff_until = primary_conflict_backoff_until_;
-  state.log = log_;
-  state.store = store_;
-  state.pending_writes = pending_writes_;
-  state.pending_reads = pending_reads_;
-  state.next_guard_id = next_guard_id_;
-  state.forwards = forwards_;
-  state.next_forward_id = next_forward_id_;
-  state.detector_last_heard = detector_.last_heard();
-  state.elections_started = elections_started_;
-  state.stepdowns = stepdowns_;
-  return state;
-}
-
-void Server::RestoreState(const State& state) {
-  role_ = state.role;
-  term_ = state.term;
-  current_leader_ = state.current_leader;
-  voted_term_ = state.voted_term;
-  votes_ = state.votes;
-  election_scheduled_ = state.election_scheduled;
-  last_leader_contact_ = state.last_leader_contact;
-  primary_conflict_backoff_until_ = state.primary_conflict_backoff_until;
-  log_ = state.log;
-  store_ = state.store;
-  pending_writes_ = state.pending_writes;
-  pending_reads_ = state.pending_reads;
-  next_guard_id_ = state.next_guard_id;
-  forwards_ = state.forwards;
-  next_forward_id_ = state.next_forward_id;
-  detector_.set_last_heard(state.detector_last_heard);
-  elections_started_ = state.elections_started;
-  stepdowns_ = state.stepdowns;
 }
 
 }  // namespace pbkv

@@ -38,9 +38,76 @@
 
 namespace pbkv {
 
-class Server : public cluster::Process {
- public:
+// Every field of a Server that changes after construction, as one value:
+// a snapshot copies it and a restore assigns it (Server::CaptureState).
+// Server inherits it privately, so its handlers name the fields directly.
+struct ServerState {
   enum class Role { kFollower, kCandidate, kPrimary, kArbiter };
+  struct StoreValue {
+    std::string value;
+    sim::Time timestamp = sim::kTimeZero;
+    bool present = false;
+    // Committed view.
+    std::string committed_value;
+    bool committed_present = false;
+    bool operator==(const StoreValue&) const = default;
+  };
+  struct PendingWrite {
+    net::NodeId client = net::kInvalidNode;
+    uint64_t request_id = 0;
+    std::set<net::NodeId> acks;
+    size_t needed = 0;
+    sim::EventId timer = sim::kInvalidEventId;
+    bool operator==(const PendingWrite&) const = default;
+  };
+  struct PendingForward {
+    net::NodeId client = net::kInvalidNode;
+    uint64_t request_id = 0;  // the client's original id
+    sim::EventId timer = sim::kInvalidEventId;
+    bool operator==(const PendingForward&) const = default;
+  };
+  struct PendingRead {
+    net::NodeId client = net::kInvalidNode;
+    uint64_t request_id = 0;
+    std::string key;
+    std::set<net::NodeId> acks;
+    size_t needed = 0;
+    sim::EventId timer = sim::kInvalidEventId;
+    bool operator==(const PendingRead&) const = default;
+  };
+
+  Role role_ = Role::kFollower;
+  uint64_t term_ = 0;
+  net::NodeId current_leader_ = net::kInvalidNode;
+  uint64_t voted_term_ = 0;
+  std::set<net::NodeId> votes_;
+  bool election_scheduled_ = false;
+  // When we last heard *as leader* from current_leader_ (announcement or
+  // replication). Plain heartbeats do not count: a deposed or wedged node
+  // still heartbeats, and mistaking that for a functioning leader is how
+  // simplex partitions hang systems.
+  sim::Time last_leader_contact_ = sim::kTimeZero;
+  sim::Time primary_conflict_backoff_until_ = sim::kTimeZero;
+
+  std::vector<LogEntry> log_;
+  std::map<std::string, StoreValue> store_;
+  std::map<uint64_t, PendingWrite> pending_writes_;   // by lsn
+  std::map<uint64_t, PendingRead> pending_reads_;     // by guard id
+  uint64_t next_guard_id_ = 1;
+  std::map<uint64_t, PendingForward> forwards_;  // by forwarded request id
+  uint64_t next_forward_id_ = 1;
+
+  cluster::FailureDetector detector_;
+
+  uint64_t elections_started_ = 0;
+  uint64_t stepdowns_ = 0;
+
+  bool operator==(const ServerState&) const = default;
+};
+
+class Server : public cluster::Process, private ServerState {
+ public:
+  using Role = ServerState::Role;
 
   // `replicas` are the data-bearing members (must contain `id` unless this
   // server is the arbiter); `arbiter` is net::kInvalidNode when absent.
@@ -62,47 +129,17 @@ class Server : public cluster::Process {
   uint64_t stepdowns() const { return stepdowns_; }
 
   // --- snapshot / restore (NEAT fork executor) ---
-  // Every mutable field as a value; configuration (options, membership) is
-  // immutable and excluded. Kernel state (epoch/crashed) is captured by the
-  // TestEnv, not here.
-  struct State;
-  State CaptureState() const;
-  void RestoreState(const State& state);
+  // Configuration (options, membership) is const and excluded. Kernel
+  // state (epoch/crashed) is captured by the TestEnv, not here.
+  using State = ServerState;
+  State CaptureState() const { return *this; }
+  void RestoreState(const State& state) { static_cast<State&>(*this) = state; }
 
  protected:
   void OnStart() override;
   void OnMessage(const net::Envelope& envelope) override;
 
  private:
-  struct StoreValue {
-    std::string value;
-    sim::Time timestamp = sim::kTimeZero;
-    bool present = false;
-    // Committed view.
-    std::string committed_value;
-    bool committed_present = false;
-  };
-  struct PendingWrite {
-    net::NodeId client = net::kInvalidNode;
-    uint64_t request_id = 0;
-    std::set<net::NodeId> acks;
-    size_t needed = 0;
-    sim::EventId timer = sim::kInvalidEventId;
-  };
-  struct PendingForward {
-    net::NodeId client = net::kInvalidNode;
-    uint64_t request_id = 0;  // the client's original id
-    sim::EventId timer = sim::kInvalidEventId;
-  };
-  struct PendingRead {
-    net::NodeId client = net::kInvalidNode;
-    uint64_t request_id = 0;
-    std::string key;
-    std::set<net::NodeId> acks;
-    size_t needed = 0;
-    sim::EventId timer = sim::kInvalidEventId;
-  };
-
   // Periodic tick: heartbeats out, then failure-detector-driven decisions.
   void Tick();
   void MaybeStartElection();
@@ -148,61 +185,10 @@ class Server : public cluster::Process {
   sim::Time LastTimestamp() const;
   int Priority() const;
 
-  // detlint: allow(snapshot-field): configuration fixed at construction
-  Options options_;
-  // detlint: allow(snapshot-field): replica topology fixed at construction
-  std::vector<net::NodeId> replicas_;
-  // detlint: allow(snapshot-field): arbiter address fixed at construction
-  net::NodeId arbiter_;
-  // detlint: allow(snapshot-field): derived from replicas_ + arbiter_ at construction; never mutated
-  std::vector<net::NodeId> members_;  // replicas + arbiter
-
-  Role role_ = Role::kFollower;
-  uint64_t term_ = 0;
-  net::NodeId current_leader_ = net::kInvalidNode;
-  uint64_t voted_term_ = 0;
-  std::set<net::NodeId> votes_;
-  bool election_scheduled_ = false;
-  // When we last heard *as leader* from current_leader_ (announcement or
-  // replication). Plain heartbeats do not count: a deposed or wedged node
-  // still heartbeats, and mistaking that for a functioning leader is how
-  // simplex partitions hang systems.
-  sim::Time last_leader_contact_ = sim::kTimeZero;
-  sim::Time primary_conflict_backoff_until_ = sim::kTimeZero;
-
-  std::vector<LogEntry> log_;
-  std::map<std::string, StoreValue> store_;
-  std::map<uint64_t, PendingWrite> pending_writes_;   // by lsn
-  std::map<uint64_t, PendingRead> pending_reads_;     // by guard id
-  uint64_t next_guard_id_ = 1;
-  std::map<uint64_t, PendingForward> forwards_;  // by forwarded request id
-  uint64_t next_forward_id_ = 1;
-
-  cluster::FailureDetector detector_;
-
-  uint64_t elections_started_ = 0;
-  uint64_t stepdowns_ = 0;
-};
-
-struct Server::State {
-  Role role = Role::kFollower;
-  uint64_t term = 0;
-  net::NodeId current_leader = net::kInvalidNode;
-  uint64_t voted_term = 0;
-  std::set<net::NodeId> votes;
-  bool election_scheduled = false;
-  sim::Time last_leader_contact = sim::kTimeZero;
-  sim::Time primary_conflict_backoff_until = sim::kTimeZero;
-  std::vector<LogEntry> log;
-  std::map<std::string, StoreValue> store;
-  std::map<uint64_t, PendingWrite> pending_writes;
-  std::map<uint64_t, PendingRead> pending_reads;
-  uint64_t next_guard_id = 1;
-  std::map<uint64_t, PendingForward> forwards;
-  uint64_t next_forward_id = 1;
-  std::map<net::NodeId, sim::Time> detector_last_heard;
-  uint64_t elections_started = 0;
-  uint64_t stepdowns = 0;
+  const Options options_;
+  const std::vector<net::NodeId> replicas_;  // sorted
+  const net::NodeId arbiter_;
+  const std::vector<net::NodeId> members_;  // replicas + arbiter
 };
 
 }  // namespace pbkv

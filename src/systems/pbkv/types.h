@@ -46,6 +46,7 @@ struct LogEntry {
   // Figure 2 is exactly an applied-but-never-committed entry; quorum reads
   // serve only committed data, local reads serve everything.
   bool committed = false;
+  bool operator==(const LogEntry&) const = default;
 };
 
 // Which candidate a voter prefers / which of two meeting primaries survives.

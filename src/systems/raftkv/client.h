@@ -12,7 +12,26 @@
 
 namespace raftkv {
 
-class Client : public cluster::Process {
+// Every field of a Client that changes after construction, as one value
+// (see ServerState).
+struct ClientState {
+  net::NodeId contact_ = net::kInvalidNode;
+  bool allow_redirect_ = true;
+  sim::Duration op_timeout_ = sim::Milliseconds(1500);
+
+  bool outstanding_ = false;
+  Command current_command_;
+  uint64_t next_request_id_ = 1;
+  uint64_t current_request_id_ = 0;
+  int redirects_left_ = 0;
+  check::Operation pending_op_;
+  check::Operation last_op_;
+  sim::EventId timeout_timer_ = sim::kInvalidEventId;
+
+  bool operator==(const ClientState&) const = default;
+};
+
+class Client : public cluster::Process, private ClientState {
  public:
   Client(sim::Simulator* simulator, net::Network* network, net::NodeId id, int client_num,
          std::vector<net::NodeId> servers, check::History* history);
@@ -32,38 +51,9 @@ class Client : public cluster::Process {
   const check::Operation& last_op() const { return last_op_; }
 
   // --- snapshot / restore (NEAT fork executor) ---
-  struct State {
-    net::NodeId contact = net::kInvalidNode;
-    bool allow_redirect = true;
-    sim::Duration op_timeout = sim::Milliseconds(1500);
-    bool outstanding = false;
-    Command current_command;
-    uint64_t next_request_id = 1;
-    uint64_t current_request_id = 0;
-    int redirects_left = 0;
-    check::Operation pending_op;
-    check::Operation last_op;
-    sim::EventId timeout_timer = sim::kInvalidEventId;
-  };
-  State CaptureState() const {
-    return State{contact_,         allow_redirect_,     op_timeout_,
-                 outstanding_,     current_command_,    next_request_id_,
-                 current_request_id_, redirects_left_,  pending_op_,
-                 last_op_,         timeout_timer_};
-  }
-  void RestoreState(const State& state) {
-    contact_ = state.contact;
-    allow_redirect_ = state.allow_redirect;
-    op_timeout_ = state.op_timeout;
-    outstanding_ = state.outstanding;
-    current_command_ = state.current_command;
-    next_request_id_ = state.next_request_id;
-    current_request_id_ = state.current_request_id;
-    redirects_left_ = state.redirects_left;
-    pending_op_ = state.pending_op;
-    last_op_ = state.last_op;
-    timeout_timer_ = state.timeout_timer;
-  }
+  using State = ClientState;
+  State CaptureState() const { return *this; }
+  void RestoreState(const State& state) { static_cast<State&>(*this) = state; }
 
  protected:
   void OnMessage(const net::Envelope& envelope) override;
@@ -72,23 +62,9 @@ class Client : public cluster::Process {
   void Begin(check::OpType type, Command command, bool final_read);
   void Complete(check::OpStatus status, const std::string& value);
 
-  // detlint: allow(snapshot-field): client identity fixed at construction
-  int client_num_;
-  // detlint: allow(snapshot-field): server topology fixed at construction
-  std::vector<net::NodeId> servers_;
-  check::History* history_;
-  net::NodeId contact_;
-  bool allow_redirect_ = true;
-  sim::Duration op_timeout_ = sim::Milliseconds(1500);
-
-  bool outstanding_ = false;
-  Command current_command_;
-  uint64_t next_request_id_ = 1;
-  uint64_t current_request_id_ = 0;
-  int redirects_left_ = 0;
-  check::Operation pending_op_;
-  check::Operation last_op_;
-  sim::EventId timeout_timer_ = sim::kInvalidEventId;
+  const int client_num_;
+  const std::vector<net::NodeId> servers_;
+  check::History* const history_;
 };
 
 }  // namespace raftkv

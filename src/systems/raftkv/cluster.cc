@@ -5,12 +5,10 @@
 namespace raftkv {
 
 Cluster::Cluster(const Config& config)
-    : env_(neat::TestEnv::Options{config.seed, config.use_switch_backend}) {
+    : env_(neat::TestEnv::Options{config.seed, config.use_switch_backend}),
+      server_ids_(net::NodeIds(config.num_servers)) {
   if (config.options.causal_trace) {
     env_.simulator().Trace().set_causal(true);
-  }
-  for (int i = 0; i < config.num_servers; ++i) {
-    server_ids_.push_back(static_cast<net::NodeId>(i + 1));
   }
   for (net::NodeId id : server_ids_) {
     servers_.push_back(std::make_unique<Server>(&env_.simulator(), &env_.network(), id,

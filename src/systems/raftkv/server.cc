@@ -8,8 +8,9 @@ Server::Server(sim::Simulator* simulator, net::Network* network, net::NodeId id,
                const Options& options, std::vector<net::NodeId> initial_members)
     : cluster::Process(simulator, network, id, "raft.n" + std::to_string(id)),
       options_(options),
-      initial_members_(std::move(initial_members)),
-      members_(initial_members_) {}
+      initial_members_(std::move(initial_members)) {
+  members_ = initial_members_;
+}
 
 void Server::OnStart() {
   ResetElectionDeadline();
@@ -413,44 +414,6 @@ void Server::OnMessage(const net::Envelope& envelope) {
       HandleRemoval();
     }
   }
-}
-
-Server::State Server::CaptureState() const {
-  State state;
-  state.members = members_;
-  state.role = role_;
-  state.term = term_;
-  state.voted_for = voted_for_;
-  state.leader_id = leader_id_;
-  state.log = log_;
-  state.commit_index = commit_index_;
-  state.last_applied = last_applied_;
-  state.election_deadline = election_deadline_;
-  state.removed = removed_;
-  state.votes = votes_;
-  state.next_index = next_index_;
-  state.match_index = match_index_;
-  state.store = store_;
-  state.pending = pending_;
-  return state;
-}
-
-void Server::RestoreState(const State& state) {
-  members_ = state.members;
-  role_ = state.role;
-  term_ = state.term;
-  voted_for_ = state.voted_for;
-  leader_id_ = state.leader_id;
-  log_ = state.log;
-  commit_index_ = state.commit_index;
-  last_applied_ = state.last_applied;
-  election_deadline_ = state.election_deadline;
-  removed_ = state.removed;
-  votes_ = state.votes;
-  next_index_ = state.next_index;
-  match_index_ = state.match_index;
-  store_ = state.store;
-  pending_ = state.pending;
 }
 
 }  // namespace raftkv

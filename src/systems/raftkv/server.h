@@ -22,9 +22,43 @@
 
 namespace raftkv {
 
-class Server : public cluster::Process {
- public:
+// Every field of a Server that changes after construction, as one value:
+// a snapshot copies it and a restore assigns it (Server::CaptureState).
+// Server inherits it privately, so its handlers name the fields directly.
+struct ServerState {
   enum class Role { kFollower, kCandidate, kLeader };
+  // A client response awaiting commit.
+  struct PendingClient {
+    net::NodeId client = net::kInvalidNode;
+    uint64_t request_id = 0;
+    bool operator==(const PendingClient&) const = default;
+  };
+
+  std::vector<net::NodeId> members_;  // current configuration
+
+  Role role_ = Role::kFollower;
+  uint64_t term_ = 0;
+  net::NodeId voted_for_ = net::kInvalidNode;
+  net::NodeId leader_id_ = net::kInvalidNode;
+  std::vector<LogEntry> log_;  // log_[i] has index i+1
+  uint64_t commit_index_ = 0;
+  uint64_t last_applied_ = 0;
+  sim::Time election_deadline_ = 0;
+  bool removed_ = false;  // retired after a config change (correct behaviour)
+
+  std::set<net::NodeId> votes_;
+  std::map<net::NodeId, uint64_t> next_index_;
+  std::map<net::NodeId, uint64_t> match_index_;
+
+  std::map<std::string, std::string> store_;
+  std::map<uint64_t, PendingClient> pending_;  // by log index
+
+  bool operator==(const ServerState&) const = default;
+};
+
+class Server : public cluster::Process, private ServerState {
+ public:
+  using Role = ServerState::Role;
 
   Server(sim::Simulator* simulator, net::Network* network, net::NodeId id,
          const Options& options, std::vector<net::NodeId> initial_members);
@@ -40,9 +74,9 @@ class Server : public cluster::Process {
   std::optional<std::string> StoreGet(const std::string& key) const;
 
   // --- snapshot / restore (NEAT fork executor) ---
-  struct State;
-  State CaptureState() const;
-  void RestoreState(const State& state);
+  using State = ServerState;
+  State CaptureState() const { return *this; }
+  void RestoreState(const State& state) { static_cast<State&>(*this) = state; }
 
  protected:
   void OnStart() override;
@@ -74,51 +108,9 @@ class Server : public cluster::Process {
   bool IsMember(net::NodeId node) const;
   void FailPending(const std::string& reason);
 
-  // detlint: allow(snapshot-field): configuration fixed at construction
-  Options options_;
-  // detlint: allow(snapshot-field): bootstrap membership fixed at construction; live membership is in the replicated config
-  std::vector<net::NodeId> initial_members_;
-  std::vector<net::NodeId> members_;  // current configuration
-
-  Role role_ = Role::kFollower;
-  uint64_t term_ = 0;
-  net::NodeId voted_for_ = net::kInvalidNode;
-  net::NodeId leader_id_ = net::kInvalidNode;
-  std::vector<LogEntry> log_;  // log_[i] has index i+1
-  uint64_t commit_index_ = 0;
-  uint64_t last_applied_ = 0;
-  sim::Time election_deadline_ = 0;
-  bool removed_ = false;  // retired after a config change (correct behaviour)
-
-  std::set<net::NodeId> votes_;
-  std::map<net::NodeId, uint64_t> next_index_;
-  std::map<net::NodeId, uint64_t> match_index_;
-
-  std::map<std::string, std::string> store_;
-  // Client responses awaiting commit, by log index.
-  struct PendingClient {
-    net::NodeId client = net::kInvalidNode;
-    uint64_t request_id = 0;
-  };
-  std::map<uint64_t, PendingClient> pending_;
-};
-
-struct Server::State {
-  std::vector<net::NodeId> members;
-  Role role = Role::kFollower;
-  uint64_t term = 0;
-  net::NodeId voted_for = net::kInvalidNode;
-  net::NodeId leader_id = net::kInvalidNode;
-  std::vector<LogEntry> log;
-  uint64_t commit_index = 0;
-  uint64_t last_applied = 0;
-  sim::Time election_deadline = 0;
-  bool removed = false;
-  std::set<net::NodeId> votes;
-  std::map<net::NodeId, uint64_t> next_index;
-  std::map<net::NodeId, uint64_t> match_index;
-  std::map<std::string, std::string> store;
-  std::map<uint64_t, PendingClient> pending;
+  const Options options_;
+  // Bootstrap membership; the live one is members_, from the replicated config.
+  const std::vector<net::NodeId> initial_members_;
 };
 
 }  // namespace raftkv

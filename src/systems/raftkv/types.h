@@ -34,12 +34,14 @@ struct Command {
   std::string value;
   // For kConfig: the new member set.
   std::vector<net::NodeId> members;
+  bool operator==(const Command&) const = default;
 };
 
 struct LogEntry {
   uint64_t term = 0;
   uint64_t index = 0;
   Command command;
+  bool operator==(const LogEntry&) const = default;
 };
 
 struct Options {

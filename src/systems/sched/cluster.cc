@@ -6,9 +6,7 @@ namespace sched {
 
 Cluster::Cluster(const Config& config)
     : env_(neat::TestEnv::Options{config.seed, config.use_switch_backend}) {
-  for (int i = 0; i < config.options.num_workers; ++i) {
-    worker_ids_.push_back(static_cast<net::NodeId>(i + 1));
-  }
+  worker_ids_ = net::NodeIds(config.options.num_workers);
   rm_ = std::make_unique<ResourceManager>(&env_.simulator(), &env_.network(), rm_id_,
                                           config.options,
                                           worker_ids_, store_id_);

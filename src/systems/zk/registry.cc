@@ -102,18 +102,4 @@ void Registry::OnMessage(const net::Envelope& envelope) {
   }
 }
 
-Registry::State Registry::CaptureState() const {
-  State state;
-  state.entries = entries_;
-  state.sessions = sessions_;
-  state.watches = watches_;
-  return state;
-}
-
-void Registry::RestoreState(const State& state) {
-  entries_ = state.entries;
-  sessions_ = state.sessions;
-  watches_ = state.watches;
-}
-
 }  // namespace zksvc

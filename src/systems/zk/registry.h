@@ -19,7 +19,24 @@
 
 namespace zksvc {
 
-class Registry : public cluster::Process {
+// Every field of the Registry that changes after construction, as one
+// value: a snapshot copies it and a restore assigns it.
+struct RegistryState {
+  struct Entry {
+    std::string data;
+    bool ephemeral = true;
+    net::NodeId owner = net::kInvalidNode;
+    bool operator==(const Entry&) const = default;
+  };
+
+  std::map<std::string, Entry> entries_;
+  std::map<net::NodeId, sim::Time> sessions_;
+  std::map<std::string, std::set<net::NodeId>> watches_;
+
+  bool operator==(const RegistryState&) const = default;
+};
+
+class Registry : public cluster::Process, private RegistryState {
  public:
   struct Options {
     sim::Duration session_check_interval = sim::Milliseconds(50);
@@ -34,37 +51,21 @@ class Registry : public cluster::Process {
   size_t live_sessions() const { return sessions_.size(); }
 
   // --- snapshot / restore (NEAT fork executor) ---
-  struct State;
-  State CaptureState() const;
-  void RestoreState(const State& state);
+  using State = RegistryState;
+  State CaptureState() const { return *this; }
+  void RestoreState(const State& state) { static_cast<State&>(*this) = state; }
 
  protected:
   void OnStart() override;
   void OnMessage(const net::Envelope& envelope) override;
 
  private:
-  struct Entry {
-    std::string data;
-    bool ephemeral = true;
-    net::NodeId owner = net::kInvalidNode;
-  };
-
   void Tick();
   void Touch(net::NodeId session);
   void ExpireSession(net::NodeId session);
   void FireWatches(const std::string& path, bool deleted);
 
-  // detlint: allow(snapshot-field): configuration fixed at construction
-  Options options_;
-  std::map<std::string, Entry> entries_;
-  std::map<net::NodeId, sim::Time> sessions_;
-  std::map<std::string, std::set<net::NodeId>> watches_;
-};
-
-struct Registry::State {
-  std::map<std::string, Entry> entries;
-  std::map<net::NodeId, sim::Time> sessions;
-  std::map<std::string, std::set<net::NodeId>> watches;
+  const Options options_;
 };
 
 }  // namespace zksvc

@@ -42,6 +42,26 @@ class Tracker {
   std::string memo_;
 };
 
+// Ledger has the shape the model systems use: its mutable fields live in a
+// state value it inherits privately, so its capture/restore bodies name no
+// member, and stray_, declared outside that value, is flagged.
+struct LedgerState {
+  std::vector<uint64_t> entries_;
+  uint64_t seq_ = 0;
+  bool operator==(const LedgerState&) const = default;
+};
+
+class Ledger : private LedgerState {
+ public:
+  using State = LedgerState;
+  State CaptureState() const { return *this; }
+  void RestoreState(const State& state) { static_cast<State&>(*this) = state; }
+
+ private:
+  const int limit_ = 8;
+  uint64_t stray_ = 0;
+};
+
 }  // namespace systems
 
 #endif  // TESTS_DETLINT_FIXTURES_SNAPSHOT_FIELD_SRC_TRACKER_H_

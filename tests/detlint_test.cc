@@ -281,12 +281,15 @@ TEST(Rules, SnapshotFieldCoverageFlagsSeededOmission) {
   // The acceptance case: cache_ is folded into the Snapshot but never
   // restored. dropped_ is in neither body; const/pointer members are
   // exempt; memo_ is excused with the allow(snapshot-field) shorthand.
+  // Ledger keeps its fields in a privately inherited state value, the
+  // shape the model systems use, so only its stray_ member is flagged.
   const AnalysisResult result = AnalyzeFixture("snapshot_field");
-  ASSERT_EQ(result.findings.size(), 2u);
+  ASSERT_EQ(result.findings.size(), 3u);
   EXPECT_EQ(result.findings[0].rule, "snapshot-field-coverage");
   EXPECT_EQ(result.findings[0].subject, "Tracker::cache_");
   EXPECT_NE(result.findings[0].message.find("Restore()"), std::string::npos);
   EXPECT_EQ(result.findings[1].subject, "Tracker::dropped_");
+  EXPECT_EQ(result.findings[2].subject, "Ledger::stray_");
   EXPECT_EQ(result.suppressed, 1);  // memo_, via the snapshot-field alias
 }
 

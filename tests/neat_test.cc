@@ -1140,14 +1140,84 @@ TEST(Fork, EverySystemForksByteIdenticallyOnAPrefixFamily) {
   }
 }
 
+// The cluster state value behind a runner: its environment plus every
+// server's and client's state.
+template <class System>
+auto ClusterStateOf(CaseRunner& runner) {
+  return dynamic_cast<System&>(*runner.System()).cluster().CaptureState();
+}
+
+// Names the first process whose state value differs between two captures
+// of the same cluster ("" when every one is equal).
+template <class ProcessState>
+std::string FirstUnequal(const std::string& role, const std::vector<ProcessState>& got,
+                         const std::vector<ProcessState>& want) {
+  if (got.size() != want.size()) {
+    return role + " count";
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (got[i] != want[i]) {
+      return role + "[" + std::to_string(i) + "]";
+    }
+  }
+  return "";
+}
+
+template <class ClusterState>
+std::string DivergentProcess(const ClusterState& got, const ClusterState& want) {
+  std::string diff;
+  if constexpr (requires { got.brokers; }) {
+    diff = FirstUnequal("brokers", got.brokers, want.brokers);
+    if (diff.empty() && got.registry != want.registry) {
+      diff = "registry";
+    }
+  } else {
+    diff = FirstUnequal("servers", got.servers, want.servers);
+  }
+  return diff.empty() ? FirstUnequal("clients", got.clients, want.clients) : diff;
+}
+
+// Captures the post-setup state, mutates the run with `mutate` (events
+// plus the full heal/verify teardown in Finish), restores, and expects the
+// rewound runner to hold every captured process state again, report the
+// captured StateDigest, and replay `mutate` byte-identically to a fresh
+// cluster.
+template <class System>
+void ExpectRoundTrip(const RunnerFactory& factory, const TestCase& mutate) {
+  std::unique_ptr<CaseRunner> runner = factory(1);
+  ASSERT_NE(runner->System(), nullptr);
+  // Same sequence as the fork executor: retention on before the root
+  // snapshot, paused for the teardown, resumed by the next Restore.
+  runner->Env().simulator().SetEventRetention(true);
+  const std::unique_ptr<SystemState> root = runner->Snapshot();
+  ASSERT_NE(root, nullptr);
+  const uint64_t captured_digest = runner->System()->StateDigest();
+  const auto captured = ClusterStateOf<System>(*runner);
+
+  for (const TestEvent& event : mutate) {
+    runner->ApplyEvent(event);
+  }
+  runner->Env().simulator().PauseEventRetention();
+  (void)runner->Finish(mutate);
+
+  runner->Restore(*root);
+  EXPECT_EQ(DivergentProcess(ClusterStateOf<System>(*runner), captured), "");
+  EXPECT_EQ(runner->System()->StateDigest(), captured_digest);
+
+  for (const TestEvent& event : mutate) {
+    runner->ApplyEvent(event);
+  }
+  runner->Env().simulator().PauseEventRetention();
+  const ExecutionResult rewound = runner->Finish(mutate);
+  ExpectSameExecution(rewound, ReplayExecutor(factory)(mutate, 1));
+}
+
 TEST(Fork, SnapshotRestoreRoundTripPreservesStateDigest) {
-  // The runtime face of detlint's snapshot-field-coverage rule: for every
-  // registered runner, capture the post-setup state, mutate the run with a
-  // campaign case (events plus the full heal/verify teardown in Finish),
-  // restore, and the rewound instance must (a) report the captured
-  // StateDigest again and (b) replay the same case byte-identically to a
-  // fresh cluster. A field left out of a capture/restore pair fails one of
-  // the two.
+  // The runtime face of detlint's snapshot-field-coverage rule, for every
+  // registered runner: after a restore, every server's and client's state
+  // value equals the captured one (operator==, all fields), the
+  // StateDigest matches, and the case replays byte-identically. A field
+  // left out of a process's state value fails one of the three.
   TestEvent partition;
   partition.kind = EventKind::kPartition;
   partition.partition = PartitionKind::kComplete;
@@ -1165,48 +1235,106 @@ TEST(Fork, SnapshotRestoreRoundTripPreservesStateDigest) {
   majority_lock.kind = EventKind::kLock;
   majority_lock.side = Side::kMajority;
 
-  struct Target {
-    const char* name;
-    RunnerFactory factory;
-    TestCase mutate;
-  };
-  const Target targets[] = {
-      {"pbkv", PbkvRunnerFactory(pbkv::VoltDbOptions()),
-       {partition, minority_write, minority_read}},
-      {"locksvc", LocksvcRunnerFactory(locksvc::IgniteOptions()),
-       {partition, minority_lock, majority_lock}},
-      {"raftkv", RaftKvRunnerFactory(raftkv::RethinkDbOptions()),
-       {partition, minority_write, minority_read}},
-      {"mqueue", MqueueRunnerFactory(mqueue::ActiveMqOptions()),
-       {partition, minority_read, minority_write}},
-  };
+  {
+    SCOPED_TRACE("pbkv");
+    ExpectRoundTrip<PbkvSystem>(PbkvRunnerFactory(pbkv::VoltDbOptions()),
+                                {partition, minority_write, minority_read});
+  }
+  {
+    SCOPED_TRACE("locksvc");
+    ExpectRoundTrip<LocksvcSystem>(LocksvcRunnerFactory(locksvc::IgniteOptions()),
+                                   {partition, minority_lock, majority_lock});
+  }
+  {
+    SCOPED_TRACE("raftkv");
+    ExpectRoundTrip<RaftKvSystem>(RaftKvRunnerFactory(raftkv::RethinkDbOptions()),
+                                  {partition, minority_write, minority_read});
+  }
+  {
+    SCOPED_TRACE("mqueue");
+    ExpectRoundTrip<MqueueSystem>(MqueueRunnerFactory(mqueue::ActiveMqOptions()),
+                                  {partition, minority_read, minority_write});
+  }
+}
 
-  for (const Target& target : targets) {
-    SCOPED_TRACE(target.name);
-    std::unique_ptr<CaseRunner> runner = target.factory(1);
-    ASSERT_NE(runner->System(), nullptr);
-    // Same sequence as the fork executor: retention on before the root
-    // snapshot, paused for the teardown, resumed by the next Restore.
-    runner->Env().simulator().SetEventRetention(true);
-    const std::unique_ptr<SystemState> root = runner->Snapshot();
-    ASSERT_NE(root, nullptr);
-    const uint64_t captured_digest = runner->System()->StateDigest();
+// Runs `sibling` on a forking runner, restores the root, then applies
+// `test_case` event by event next to a fresh runner: after setup and after
+// every event, each process state of the restored run must equal the
+// fresh run's (operator==, all fields). Trace and verdict equality only
+// see what a record shows; this also pins logs, stores, pending
+// operations and failure-detector views.
+template <class System>
+void ExpectRestoredStatesEqualReplay(const RunnerFactory& factory, const TestCase& sibling,
+                                     const TestCase& test_case) {
+  std::unique_ptr<CaseRunner> forked = factory(1);
+  forked->Env().simulator().SetEventRetention(true);
+  const std::unique_ptr<SystemState> root = forked->Snapshot();
+  for (const TestEvent& event : sibling) {
+    forked->ApplyEvent(event);
+  }
+  forked->Env().simulator().PauseEventRetention();
+  (void)forked->Finish(sibling);
+  forked->Restore(*root);
 
-    for (const TestEvent& event : target.mutate) {
-      runner->ApplyEvent(event);
-    }
-    runner->Env().simulator().PauseEventRetention();
-    (void)runner->Finish(target.mutate);
+  std::unique_ptr<CaseRunner> replay = factory(1);
+  EXPECT_EQ(DivergentProcess(ClusterStateOf<System>(*forked), ClusterStateOf<System>(*replay)),
+            "")
+      << "after setup";
+  for (size_t i = 0; i < test_case.size(); ++i) {
+    forked->ApplyEvent(test_case[i]);
+    replay->ApplyEvent(test_case[i]);
+    EXPECT_EQ(
+        DivergentProcess(ClusterStateOf<System>(*forked), ClusterStateOf<System>(*replay)), "")
+        << "after event " << i + 1 << " of " << FormatTestCase(test_case);
+  }
+}
 
-    runner->Restore(*root);
-    EXPECT_EQ(runner->System()->StateDigest(), captured_digest);
+TEST(Fork, RestoredProcessStatesEqualReplayAtEveryEventBoundary) {
+  TestEvent partition;
+  partition.kind = EventKind::kPartition;
+  partition.partition = PartitionKind::kComplete;
+  partition.target = IsolationTarget::kLeader;
+  TestEvent heal;
+  heal.kind = EventKind::kHeal;
+  TestEvent minority_write;
+  minority_write.kind = EventKind::kWrite;
+  minority_write.side = Side::kMinority;
+  TestEvent majority_write;
+  majority_write.kind = EventKind::kWrite;
+  majority_write.side = Side::kMajority;
+  TestEvent minority_read;
+  minority_read.kind = EventKind::kRead;
+  minority_read.side = Side::kMinority;
+  TestEvent minority_lock;
+  minority_lock.kind = EventKind::kLock;
+  minority_lock.side = Side::kMinority;
+  TestEvent majority_lock;
+  majority_lock.kind = EventKind::kLock;
+  majority_lock.side = Side::kMajority;
 
-    for (const TestEvent& event : target.mutate) {
-      runner->ApplyEvent(event);
-    }
-    runner->Env().simulator().PauseEventRetention();
-    const ExecutionResult rewound = runner->Finish(target.mutate);
-    ExpectSameExecution(rewound, ReplayExecutor(target.factory)(target.mutate, 1));
+  {
+    SCOPED_TRACE("pbkv");
+    ExpectRestoredStatesEqualReplay<PbkvSystem>(PbkvRunnerFactory(pbkv::VoltDbOptions()),
+                                                {partition, minority_write, minority_read},
+                                                {partition, majority_write, heal});
+  }
+  {
+    SCOPED_TRACE("raftkv");
+    ExpectRestoredStatesEqualReplay<RaftKvSystem>(
+        RaftKvRunnerFactory(raftkv::RethinkDbOptions()),
+        {partition, minority_write, minority_read}, {partition, majority_write, heal});
+  }
+  {
+    SCOPED_TRACE("locksvc");
+    ExpectRestoredStatesEqualReplay<LocksvcSystem>(
+        LocksvcRunnerFactory(locksvc::IgniteOptions()), {partition, minority_lock, majority_lock},
+        {partition, majority_lock, heal});
+  }
+  {
+    SCOPED_TRACE("mqueue");
+    ExpectRestoredStatesEqualReplay<MqueueSystem>(MqueueRunnerFactory(mqueue::ActiveMqOptions()),
+                                                  {partition, minority_read, minority_write},
+                                                  {partition, majority_write, heal});
   }
 }
 
@@ -1369,41 +1497,6 @@ TEST(Fork, CampaignMinimizeWithForkingSessionsMatchesReplay) {
               FormatTestCase(expected.minimized[i].minimized));
     EXPECT_EQ(got.minimized[i].probes, expected.minimized[i].probes);
   }
-}
-
-TEST(Fork, UnforkableRunnerFallsBackToFullReplay) {
-  // A runner whose Snapshot() returns nullptr must still execute
-  // correctly — every case replays on a fresh runner.
-  class UnforkableRunner : public CaseRunner {
-   public:
-    explicit UnforkableRunner(int* built) : env_(TestEnv::Options{}) { ++*built; }
-    TestEnv& Env() override { return env_; }
-    void ApplyEvent(const TestEvent& event) override { ++applied_; (void)event; }
-    ExecutionResult Finish(const TestCase& test_case) override {
-      ExecutionResult result;
-      result.trace = FormatTestCase(test_case);
-      result.found_failure = applied_ >= 2;
-      return result;
-    }
-    std::unique_ptr<SystemState> Snapshot() const override { return nullptr; }
-    void Restore(const SystemState& state) override { (void)state; }
-
-   private:
-    TestEnv env_;
-    int applied_ = 0;
-  };
-  int built = 0;
-  auto stats = std::make_shared<ForkStats>();
-  const CaseExecutor executor = ForkingCaseExecutor(
-      [&built](uint64_t) { return std::make_unique<UnforkableRunner>(&built); },
-      ForkOptions{}, stats);
-  TestEvent partition;
-  partition.kind = EventKind::kPartition;
-  EXPECT_FALSE(executor({partition}, 1).found_failure);
-  EXPECT_TRUE(executor({partition, partition}, 1).found_failure);
-  EXPECT_EQ(built, 2) << "each case gets a fresh runner without snapshots";
-  EXPECT_EQ(stats->forked_runs, 0u);
-  EXPECT_EQ(stats->snapshots_taken, 0u);
 }
 
 }  // namespace

@@ -665,6 +665,7 @@ TEST_F(NetworkTest, FaultStateSurvivesSnapshotRestore) {
   // Rewind: the rule must again have one match left, so the replayed
   // sends fault identically to the first run.
   network_.RestoreState(snapshot);
+  EXPECT_TRUE(network_.CaptureState() == snapshot);
   received_by_2_.clear();
   network_.SendNew<Ping>(1, 2, 2);
   network_.SendNew<Ping>(1, 2, 3);
@@ -683,6 +684,7 @@ TEST_F(NetworkTest, HeldMessageSurvivesSnapshotRestore) {
   simulator_.RunUntilIdle();
   ASSERT_EQ(received_by_2_.size(), 2u);
   network_.RestoreState(snapshot);
+  EXPECT_TRUE(network_.CaptureState() == snapshot);  // the same held message
   received_by_2_.clear();
   network_.SendNew<Ping>(1, 2, 2);  // releases the snapshotted held message
   simulator_.RunUntilIdle();
