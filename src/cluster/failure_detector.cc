@@ -1,20 +1,20 @@
 #include "cluster/failure_detector.h"
 
-#include <algorithm>
-#include <utility>
-
 namespace cluster {
 
-FailureDetector::FailureDetector(net::NodeId self, std::vector<net::NodeId> peers,
+FailureDetector::FailureDetector(net::NodeId self, const std::vector<net::NodeId>& peers,
                                  Options options)
-    : self_(self), peers_(std::move(peers)), options_(options) {
-  peers_.erase(std::remove(peers_.begin(), peers_.end(), self_), peers_.end());
-  Reset(sim::kTimeZero);
+    : self_(self), options_(options) {
+  for (net::NodeId peer : peers) {
+    if (peer != self_) {
+      last_heard_.emplace(peer, sim::kTimeZero);
+    }
+  }
 }
 
 void FailureDetector::Reset(sim::Time now) {
-  for (net::NodeId peer : peers_) {
-    last_heard_[peer] = now;
+  for (auto& [peer, heard] : last_heard_) {
+    heard = now;
   }
 }
 
@@ -45,8 +45,8 @@ sim::Time FailureDetector::LastHeard(net::NodeId peer) const {
 
 std::vector<net::NodeId> FailureDetector::AlivePeers(sim::Time now) const {
   std::vector<net::NodeId> out;
-  for (net::NodeId peer : peers_) {
-    if (IsAlive(peer, now)) {
+  for (const auto& [peer, heard] : last_heard_) {
+    if (now - heard <= DeathTimeout()) {
       out.push_back(peer);
     }
   }
@@ -55,8 +55,8 @@ std::vector<net::NodeId> FailureDetector::AlivePeers(sim::Time now) const {
 
 std::vector<net::NodeId> FailureDetector::DeadPeers(sim::Time now) const {
   std::vector<net::NodeId> out;
-  for (net::NodeId peer : peers_) {
-    if (!IsAlive(peer, now)) {
+  for (const auto& [peer, heard] : last_heard_) {
+    if (now - heard > DeathTimeout()) {
       out.push_back(peer);
     }
   }

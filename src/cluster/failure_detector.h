@@ -46,7 +46,7 @@ class FailureDetector {
 
   // Watches nobody; the owner's constructor assigns the configured one.
   FailureDetector() = default;
-  FailureDetector(net::NodeId self, std::vector<net::NodeId> peers, Options options);
+  FailureDetector(net::NodeId self, const std::vector<net::NodeId>& peers, Options options);
 
   // Marks every peer as freshly heard-from; call on (re)start so a booting
   // node does not instantly declare the world dead.
@@ -66,7 +66,6 @@ class FailureDetector {
   std::vector<net::NodeId> AlivePeers(sim::Time now) const;
   std::vector<net::NodeId> DeadPeers(sim::Time now) const;
 
-  const std::vector<net::NodeId>& peers() const { return peers_; }
   const Options& options() const { return options_; }
   net::NodeId self() const { return self_; }
 
@@ -78,8 +77,8 @@ class FailureDetector {
   }
 
   net::NodeId self_ = net::kInvalidNode;
-  std::vector<net::NodeId> peers_;
   Options options_;
+  // One entry per peer (self excluded), iterated in id order.
   std::map<net::NodeId, sim::Time> last_heard_;
 };
 

@@ -92,4 +92,10 @@ bool TestEnv::Await(const std::function<bool()>& done, sim::Duration deadline_fr
   return simulator_.RunUntilPredicate(done, simulator_.Now() + deadline_from_now);
 }
 
+check::Operation TestEnv::RunToCompletion(const cluster::OpClient& client,
+                                          sim::Duration deadline_from_now) {
+  Await([&client]() { return client.idle(); }, deadline_from_now);
+  return client.last_op();
+}
+
 }  // namespace neat

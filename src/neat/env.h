@@ -25,6 +25,7 @@
 #include <memory>
 
 #include "check/history.h"
+#include "cluster/op_client.h"
 #include "cluster/process.h"
 #include "net/network.h"
 #include "net/partition.h"
@@ -70,10 +71,14 @@ class TestEnv {
   // --- global operation order ---
   // Advances virtual time (the paper's sleep()).
   void Sleep(sim::Duration duration);
-  // Runs the simulation until `done` holds or `deadline_from_now` passes;
-  // the engine's way of running one client operation to completion.
+  // Runs the simulation until `done` holds or `deadline_from_now` passes.
   bool Await(const std::function<bool()>& done,
              sim::Duration deadline_from_now = sim::Seconds(5));
+  // The engine's way of running one client operation to completion: awaits
+  // `client`'s outstanding operation (ok, fail or timeout) and returns the
+  // operation it recorded.
+  check::Operation RunToCompletion(const cluster::OpClient& client,
+                                   sim::Duration deadline_from_now = sim::Seconds(5));
 
   // --- snapshot / restore (NEAT fork executor) ---
   //

@@ -1,5 +1,4 @@
-// A wired eventualkv deployment. The client process is shared with the
-// other KV systems' pattern: one outstanding operation, history-recorded.
+// A wired eventualkv deployment and its client.
 
 #ifndef SYSTEMS_EVENTUALKV_CLUSTER_H_
 #define SYSTEMS_EVENTUALKV_CLUSTER_H_
@@ -9,26 +8,23 @@
 #include <vector>
 
 #include "check/history.h"
+#include "cluster/op_client.h"
 #include "neat/env.h"
 #include "net/partition.h"
 #include "systems/eventualkv/server.h"
 
 namespace eventualkv {
 
-class Client : public cluster::Process {
+// The cluster::OpClient skeleton plus eventualkv's request and reply
+// mapping.
+class Client : public cluster::OpClient {
  public:
   Client(sim::Simulator* simulator, net::Network* network, net::NodeId id, int client_num,
-         std::vector<net::NodeId> servers, check::History* history);
-
-  void set_contact(net::NodeId contact) { contact_ = contact; }
-  void set_op_timeout(sim::Duration timeout) { op_timeout_ = timeout; }
+         const std::vector<net::NodeId>& servers, check::History* history);
 
   void BeginPut(const std::string& key, const std::string& value);
   void BeginGet(const std::string& key, bool final_read = false);
   void BeginDelete(const std::string& key);
-
-  bool idle() const { return !outstanding_; }
-  const check::Operation& last_op() const { return last_op_; }
 
  protected:
   void OnMessage(const net::Envelope& envelope) override;
@@ -36,19 +32,6 @@ class Client : public cluster::Process {
  private:
   void Begin(check::OpType type, ClientKvRequest::Op op, const std::string& key,
              const std::string& value, bool final_read);
-  void Complete(check::OpStatus status, const std::string& value);
-
-  int client_num_;
-  std::vector<net::NodeId> servers_;
-  check::History* history_;
-  net::NodeId contact_;
-  sim::Duration op_timeout_ = sim::Milliseconds(800);
-  bool outstanding_ = false;
-  uint64_t next_request_id_ = 1;
-  uint64_t current_request_id_ = 0;
-  check::Operation pending_op_;
-  check::Operation last_op_;
-  sim::EventId timeout_timer_ = sim::kInvalidEventId;
 };
 
 class Cluster {
@@ -78,8 +61,6 @@ class Cluster {
   check::Operation Delete(int client, const std::string& key);
 
  private:
-  check::Operation RunToCompletion(Client& c);
-
   neat::TestEnv env_;
   std::vector<net::NodeId> server_ids_;
   std::vector<std::unique_ptr<Server>> servers_;

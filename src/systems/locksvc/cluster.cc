@@ -52,41 +52,35 @@ const Server& Cluster::server(net::NodeId id) const {
   return *servers_.front();
 }
 
-check::Operation Cluster::RunToCompletion(Client& c) {
-  env_.simulator().RunUntilPredicate([&c]() { return c.idle(); },
-                               env_.simulator().Now() + sim::Seconds(5));
-  return c.last_op();
-}
-
 check::Operation Cluster::Lock(int client_index, const std::string& resource) {
   Client& c = client(client_index);
   c.BeginLock(resource);
-  return RunToCompletion(c);
+  return env_.RunToCompletion(c);
 }
 
 check::Operation Cluster::Unlock(int client_index, const std::string& resource) {
   Client& c = client(client_index);
   c.BeginUnlock(resource);
-  return RunToCompletion(c);
+  return env_.RunToCompletion(c);
 }
 
 check::Operation Cluster::SemAcquire(int client_index, const std::string& semaphore,
                                      int permits) {
   Client& c = client(client_index);
   c.BeginSemAcquire(semaphore, permits);
-  return RunToCompletion(c);
+  return env_.RunToCompletion(c);
 }
 
 check::Operation Cluster::SemRelease(int client_index, const std::string& semaphore) {
   Client& c = client(client_index);
   c.BeginSemRelease(semaphore);
-  return RunToCompletion(c);
+  return env_.RunToCompletion(c);
 }
 
 check::Operation Cluster::Increment(int client_index, const std::string& counter) {
   Client& c = client(client_index);
   c.BeginIncrement(counter);
-  return RunToCompletion(c);
+  return env_.RunToCompletion(c);
 }
 
 Cluster::State Cluster::CaptureState() const {

@@ -55,8 +55,6 @@ class Cluster {
   void RestoreState(const State& state);
 
  private:
-  check::Operation RunToCompletion(Client& c);
-
   neat::TestEnv env_;
   const std::vector<net::NodeId> server_ids_;
   std::vector<std::unique_ptr<Server>> servers_;

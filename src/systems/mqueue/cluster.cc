@@ -64,24 +64,18 @@ std::vector<net::NodeId> Cluster::SelfBelievedMasters() const {
   return out;
 }
 
-check::Operation Cluster::RunToCompletion(Client& c) {
-  env_.simulator().RunUntilPredicate([&c]() { return c.idle(); },
-                               env_.simulator().Now() + sim::Seconds(5));
-  return c.last_op();
-}
-
 check::Operation Cluster::Send(int client_index, const std::string& queue,
                                const std::string& value) {
   Client& c = client(client_index);
   c.BeginSend(queue, value);
-  return RunToCompletion(c);
+  return env_.RunToCompletion(c);
 }
 
 check::Operation Cluster::Receive(int client_index, const std::string& queue,
                                   bool final_drain) {
   Client& c = client(client_index);
   c.BeginReceive(queue, final_drain);
-  return RunToCompletion(c);
+  return env_.RunToCompletion(c);
 }
 
 Cluster::State Cluster::CaptureState() const {

@@ -60,8 +60,6 @@ class Cluster {
   void RestoreState(const State& state);
 
  private:
-  check::Operation RunToCompletion(Client& c);
-
   neat::TestEnv env_;
   const std::vector<net::NodeId> broker_ids_;
   const net::NodeId zk_id_ = 50;

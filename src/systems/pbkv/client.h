@@ -1,54 +1,34 @@
-// A pbkv client process.
-//
-// One operation is outstanding at a time (the NEAT test engine imposes a
-// global order on client operations). Completed operations — including
-// timeouts — are recorded in a check::History for the safety checkers.
+// A pbkv client process: the cluster::OpClient skeleton plus pbkv's
+// request, its reply mapping and its "not leader" redirect rule.
 
 #ifndef SYSTEMS_PBKV_CLIENT_H_
 #define SYSTEMS_PBKV_CLIENT_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "check/history.h"
-#include "cluster/process.h"
+#include "cluster/op_client.h"
 #include "systems/pbkv/messages.h"
 
 namespace pbkv {
 
-// Every field of a Client that changes after construction, as one value
-// (see ServerState).
+// The fields a Client adds to the skeleton's, as one value (see
+// ServerState).
 struct ClientState {
-  net::NodeId contact_ = net::kInvalidNode;
   bool allow_redirect_ = true;
-  sim::Duration op_timeout_ = sim::Milliseconds(800);
-
-  bool outstanding_ = false;
-  OpKind request_kind_ = OpKind::kPut;
-  bool request_is_read_ = false;
-  uint64_t next_request_id_ = 1;
-  uint64_t current_request_id_ = 0;
   int redirects_left_ = 0;
-  check::Operation pending_op_;
-  check::Operation last_op_;
-  sim::EventId timeout_timer_ = sim::kInvalidEventId;
 
   bool operator==(const ClientState&) const = default;
 };
 
-class Client : public cluster::Process, private ClientState {
+class Client : public cluster::OpClient, private ClientState {
  public:
   Client(sim::Simulator* simulator, net::Network* network, net::NodeId id, int client_num,
-         std::vector<net::NodeId> servers, check::History* history);
-
-  // The server this client talks to first; NEAT tests pin clients to one
-  // side of a partition by setting the contact.
-  void set_contact(net::NodeId contact) { contact_ = contact; }
-  net::NodeId contact() const { return contact_; }
+         const std::vector<net::NodeId>& servers, check::History* history);
 
   // Whether a "not leader" reply is followed to the hinted leader.
   void set_allow_redirect(bool allow) { allow_redirect_ = allow; }
-  void set_op_timeout(sim::Duration timeout) { op_timeout_ = timeout; }
 
   // Begins an operation; completion is observable through idle(). The test
   // engine runs the simulator until the client is idle again.
@@ -56,28 +36,24 @@ class Client : public cluster::Process, private ClientState {
   void BeginGet(const std::string& key, bool final_read = false);
   void BeginDelete(const std::string& key);
 
-  bool idle() const { return !outstanding_; }
-  // The most recently completed operation (valid once idle after a Begin*).
-  const check::Operation& last_op() const { return last_op_; }
-  int client_num() const { return client_num_; }
-
   // --- snapshot / restore (NEAT fork executor) ---
-  using State = ClientState;
-  State CaptureState() const { return *this; }
-  void RestoreState(const State& state) { static_cast<State&>(*this) = state; }
+  struct State : cluster::OpClientState, ClientState {
+    bool operator==(const State&) const = default;
+  };
+  State CaptureState() const { return {*this, *this}; }
+  void RestoreState(const State& state) {
+    static_cast<cluster::OpClientState&>(*this) = state;
+    static_cast<ClientState&>(*this) = state;
+  }
 
  protected:
   void OnMessage(const net::Envelope& envelope) override;
 
  private:
-  void Begin(check::OpType type, OpKind kind, bool is_read, const std::string& key,
-             const std::string& value, bool final_read);
-  void SendRequest(net::NodeId target);
-  void Complete(check::OpStatus status, const std::string& value);
-
-  const int client_num_;
-  const std::vector<net::NodeId> servers_;
-  check::History* const history_;
+  void Begin(check::OpType type, const std::string& key, const std::string& value,
+             bool final_read);
+  // The outstanding op's request, rebuilt from the pending op on redirect.
+  std::shared_ptr<ClientRequest> Request() const;
 };
 
 }  // namespace pbkv

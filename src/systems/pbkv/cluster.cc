@@ -48,29 +48,23 @@ Server& Cluster::server(net::NodeId id) {
   return *servers_.front();
 }
 
-check::Operation Cluster::RunToCompletion(Client& c) {
-  env_.simulator().RunUntilPredicate([&c]() { return c.idle(); },
-                               env_.simulator().Now() + sim::Seconds(5));
-  return c.last_op();
-}
-
 check::Operation Cluster::Put(int client_index, const std::string& key,
                               const std::string& value) {
   Client& c = client(client_index);
   c.BeginPut(key, value);
-  return RunToCompletion(c);
+  return env_.RunToCompletion(c);
 }
 
 check::Operation Cluster::Get(int client_index, const std::string& key, bool final_read) {
   Client& c = client(client_index);
   c.BeginGet(key, final_read);
-  return RunToCompletion(c);
+  return env_.RunToCompletion(c);
 }
 
 check::Operation Cluster::Delete(int client_index, const std::string& key) {
   Client& c = client(client_index);
   c.BeginDelete(key);
-  return RunToCompletion(c);
+  return env_.RunToCompletion(c);
 }
 
 net::NodeId Cluster::FindPrimary() const {

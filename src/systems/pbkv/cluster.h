@@ -70,8 +70,6 @@ class Cluster {
   void RestoreState(const State& state);
 
  private:
-  check::Operation RunToCompletion(Client& c);
-
   neat::TestEnv env_;
   const std::vector<net::NodeId> server_ids_;
   const net::NodeId arbiter_id_;

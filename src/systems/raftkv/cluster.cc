@@ -3,6 +3,11 @@
 #include <cassert>
 
 namespace raftkv {
+namespace {
+
+constexpr sim::Duration kOpDeadline = sim::Seconds(10);
+
+}  // namespace
 
 Cluster::Cluster(const Config& config)
     : env_(neat::TestEnv::Options{config.seed, config.use_switch_backend}),
@@ -51,41 +56,34 @@ std::vector<net::NodeId> Cluster::Leaders() const {
 }
 
 net::NodeId Cluster::WaitForLeader(sim::Duration deadline) {
-  env_.simulator().RunUntilPredicate([this]() { return !Leaders().empty(); },
-                               env_.simulator().Now() + deadline);
+  env_.Await([this]() { return !Leaders().empty(); }, deadline);
   auto leaders = Leaders();
   return leaders.empty() ? net::kInvalidNode : leaders.front();
-}
-
-check::Operation Cluster::RunToCompletion(Client& c) {
-  env_.simulator().RunUntilPredicate([&c]() { return c.idle(); },
-                               env_.simulator().Now() + sim::Seconds(10));
-  return c.last_op();
 }
 
 check::Operation Cluster::Put(int client_index, const std::string& key,
                               const std::string& value) {
   Client& c = client(client_index);
   c.BeginPut(key, value);
-  return RunToCompletion(c);
+  return env_.RunToCompletion(c, kOpDeadline);
 }
 
 check::Operation Cluster::Get(int client_index, const std::string& key, bool final_read) {
   Client& c = client(client_index);
   c.BeginGet(key, final_read);
-  return RunToCompletion(c);
+  return env_.RunToCompletion(c, kOpDeadline);
 }
 
 check::Operation Cluster::Delete(int client_index, const std::string& key) {
   Client& c = client(client_index);
   c.BeginDelete(key);
-  return RunToCompletion(c);
+  return env_.RunToCompletion(c, kOpDeadline);
 }
 
 check::Operation Cluster::ChangeMembers(int client_index, std::vector<net::NodeId> members) {
   Client& c = client(client_index);
   c.BeginChangeMembers(std::move(members));
-  return RunToCompletion(c);
+  return env_.RunToCompletion(c, kOpDeadline);
 }
 
 Cluster::State Cluster::CaptureState() const {

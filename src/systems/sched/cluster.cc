@@ -50,9 +50,7 @@ Worker& Cluster::worker(net::NodeId id) {
 check::Operation Cluster::Submit(int client_index, const std::string& task_id) {
   Client& c = client(client_index);
   c.BeginSubmit(task_id);
-  env_.simulator().RunUntilPredicate([&c]() { return c.idle(); },
-                               env_.simulator().Now() + sim::Seconds(5));
-  return c.last_op();
+  return env_.RunToCompletion(c);
 }
 
 }  // namespace sched

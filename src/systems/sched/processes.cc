@@ -259,34 +259,15 @@ void ResourceManager::OnMessage(const net::Envelope& envelope) {
 
 Client::Client(sim::Simulator* simulator, net::Network* network, net::NodeId id,
                int client_num, net::NodeId rm, check::History* history)
-    : cluster::Process(simulator, network, id, "sched.c" + std::to_string(client_num)),
-      client_num_(client_num),
-      rm_(rm),
-      history_(history) {}
+    : cluster::OpClient(simulator, network, id, "sched.c" + std::to_string(client_num),
+                        client_num, {rm}, history) {}
 
 void Client::BeginSubmit(const std::string& task_id) {
-  assert(!outstanding_ && "one operation at a time");
-  outstanding_ = true;
-  current_request_id_ = next_request_id_++;
-  pending_op_ = check::Operation{};
-  pending_op_.client = client_num_;
-  pending_op_.type = check::OpType::kSubmitTask;
-  pending_op_.key = task_id;
-  pending_op_.invoked = Now();
-  auto submit = std::make_shared<SubmitTask>();
-  submit->request_id = current_request_id_;
-  submit->task_id = task_id;
-  SendEnvelope(rm_, submit);
-  timeout_timer_ = After(sim::Milliseconds(800), [this]() {
-    if (outstanding_) {
-      outstanding_ = false;
-      pending_op_.completed = Now();
-      pending_op_.status = check::OpStatus::kTimeout;
-      last_op_ = pending_op_;
-      if (history_ != nullptr) {
-        last_op_.id = history_->Record(pending_op_);
-      }
-    }
+  Begin(check::OpType::kSubmitTask, task_id, "", /*final_read=*/false, [&]() {
+    auto submit = std::make_shared<SubmitTask>();
+    submit->request_id = current_request_id_;
+    submit->task_id = task_id;
+    return submit;
   });
 }
 
@@ -303,15 +284,8 @@ int Client::ResultCount(const std::string& task_id) const {
 void Client::OnMessage(const net::Envelope& envelope) {
   const net::Message& msg = *envelope.msg;
   if (auto* ack = msg.As<SubmitAck>()) {
-    if (outstanding_ && ack->request_id == current_request_id_) {
-      outstanding_ = false;
-      simulator()->Cancel(timeout_timer_);
-      pending_op_.completed = Now();
-      pending_op_.status = ack->ok ? check::OpStatus::kOk : check::OpStatus::kFail;
-      last_op_ = pending_op_;
-      if (history_ != nullptr) {
-        last_op_.id = history_->Record(pending_op_);
-      }
+    if (Awaiting(ack->request_id)) {
+      Complete(ack->ok ? check::OpStatus::kOk : check::OpStatus::kFail, "");
     }
     return;
   }

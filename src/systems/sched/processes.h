@@ -11,6 +11,7 @@
 
 #include "check/checkers.h"
 #include "check/history.h"
+#include "cluster/op_client.h"
 #include "cluster/process.h"
 #include "systems/sched/messages.h"
 #include "systems/sched/types.h"
@@ -105,14 +106,13 @@ class ResourceManager : public cluster::Process {
   size_t next_worker_ = 0;  // round-robin AM placement
 };
 
-class Client : public cluster::Process {
+// The cluster::OpClient skeleton with the ResourceManager as its contact.
+class Client : public cluster::OpClient {
  public:
   Client(sim::Simulator* simulator, net::Network* network, net::NodeId id, int client_num,
          net::NodeId rm, check::History* history);
 
   void BeginSubmit(const std::string& task_id);
-  bool idle() const { return !outstanding_; }
-  const check::Operation& last_op() const { return last_op_; }
   // Result notifications received, possibly more than one per task.
   const std::vector<std::pair<std::string, int>>& results() const { return results_; }
   int ResultCount(const std::string& task_id) const;
@@ -121,15 +121,6 @@ class Client : public cluster::Process {
   void OnMessage(const net::Envelope& envelope) override;
 
  private:
-  int client_num_;
-  net::NodeId rm_;
-  check::History* history_;
-  bool outstanding_ = false;
-  uint64_t next_request_id_ = 1;
-  uint64_t current_request_id_ = 0;
-  check::Operation pending_op_;
-  check::Operation last_op_;
-  sim::EventId timeout_timer_ = sim::kInvalidEventId;
   std::vector<std::pair<std::string, int>> results_;
 };
 

@@ -1,4 +1,5 @@
-// Unit tests for the process runtime and the failure detector.
+// Unit tests for the process runtime, the failure detector and the client
+// skeleton.
 
 #include <gtest/gtest.h>
 
@@ -6,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "check/history.h"
 #include "cluster/failure_detector.h"
+#include "cluster/op_client.h"
 #include "cluster/process.h"
 #include "net/network.h"
 #include "net/partition.h"
@@ -139,7 +142,7 @@ TEST_F(FailureDetectorTest, PeersStartAlive) {
 
 TEST_F(FailureDetectorTest, SelfIsExcludedFromPeers) {
   FailureDetector fd(1, {1, 2}, MakeOptions());
-  EXPECT_EQ(fd.peers(), (std::vector<net::NodeId>{2}));
+  EXPECT_EQ(fd.AlivePeers(sim::kTimeZero), (std::vector<net::NodeId>{2}));
 }
 
 TEST_F(FailureDetectorTest, PeerDiesAfterMissedHeartbeats) {
@@ -207,6 +210,151 @@ TEST(FailureDetectorScenario, PartialPartitionCausesDisagreement) {
   const sim::Time now = sim::Milliseconds(1000);
   EXPECT_FALSE(on_node2.IsAlive(1, now));  // node 2: "node 1 crashed"
   EXPECT_TRUE(on_node3.IsAlive(1, now));   // node 3: "node 1 is fine"
+}
+
+// --- OpClient: the single-outstanding-operation client skeleton ---
+
+struct Ask final : net::MessageOf<Ask> {
+  static constexpr net::MessageType kType{"Ask"};
+  uint64_t request_id = 0;
+  std::string key;
+};
+
+struct Answer final : net::MessageOf<Answer> {
+  static constexpr net::MessageType kType{"Answer"};
+  uint64_t request_id = 0;
+  std::string value;
+};
+
+// Answers every Ask `delay` after it arrives, with "v:" + the asked key.
+class DelayedServer : public Process {
+ public:
+  DelayedServer(sim::Simulator* simulator, net::Network* network, net::NodeId id,
+                sim::Duration delay)
+      : Process(simulator, network, id, "server"), delay_(delay) {}
+
+ protected:
+  void OnMessage(const net::Envelope& envelope) override {
+    const auto* ask = envelope.msg->As<Ask>();
+    if (ask == nullptr) {
+      return;
+    }
+    auto answer = std::make_shared<Answer>();
+    answer->request_id = ask->request_id;
+    answer->value = "v:" + ask->key;
+    const net::NodeId src = envelope.src;
+    After(delay_, [this, src, answer]() { SendEnvelope(src, answer); });
+  }
+
+ private:
+  const sim::Duration delay_;
+};
+
+// The smallest OpClient: one request type, and every answer is ok.
+class AskClient : public OpClient {
+ public:
+  AskClient(sim::Simulator* simulator, net::Network* network, net::NodeId server,
+            check::History* history)
+      : OpClient(simulator, network, 100, "client", 1, {server}, history) {}
+
+  void BeginOp(check::OpType type, const std::string& key, const std::string& value = "") {
+    Begin(type, key, value, /*final_read=*/false, [&]() {
+      auto ask = std::make_shared<Ask>();
+      ask->request_id = current_request_id_;
+      ask->key = key;
+      return ask;
+    });
+  }
+
+ protected:
+  void OnMessage(const net::Envelope& envelope) override {
+    const auto* answer = envelope.msg->As<Answer>();
+    if (answer != nullptr && Awaiting(answer->request_id)) {
+      Complete(check::OpStatus::kOk, answer->value);
+    }
+  }
+};
+
+class OpClientTest : public ::testing::Test {
+ protected:
+  // The server answers 300 ms after each request; the client's op timeout
+  // is the skeleton's default 800 ms unless a test sets another.
+  OpClientTest()
+      : simulator_(5),
+        network_(&simulator_, &backend_),
+        server_(&simulator_, &network_, 1, sim::Milliseconds(300)),
+        client_(&simulator_, &network_, 1, &history_) {
+    server_.Boot();
+    client_.Boot();
+  }
+
+  // Runs the outstanding op to completion, as neat::TestEnv does.
+  check::Operation RunToCompletion() {
+    simulator_.RunUntilPredicate([this]() { return client_.idle(); },
+                                 simulator_.Now() + sim::Seconds(5));
+    return client_.last_op();
+  }
+
+  sim::Simulator simulator_;
+  net::SwitchPartitioner backend_;
+  net::Network network_;
+  check::History history_;
+  DelayedServer server_;
+  AskClient client_;
+};
+
+TEST_F(OpClientTest, LateReplyWhileTheNextOpIsOutstandingIsIgnored) {
+  client_.set_op_timeout(sim::Milliseconds(100));
+  client_.BeginOp(check::OpType::kRead, "a");
+  EXPECT_EQ(RunToCompletion().status, check::OpStatus::kTimeout);
+  client_.set_op_timeout(sim::Seconds(1));
+  client_.BeginOp(check::OpType::kRead, "b");
+  // The answer to "a" lands at about 300 ms, while "b" is outstanding.
+  simulator_.RunUntil(sim::Milliseconds(350));
+  EXPECT_FALSE(client_.idle());
+  const check::Operation op = RunToCompletion();
+  EXPECT_EQ(op.status, check::OpStatus::kOk);
+  EXPECT_EQ(op.key, "b");
+  EXPECT_EQ(op.value, "v:b");
+  EXPECT_EQ(history_.size(), 2u);
+}
+
+TEST_F(OpClientTest, TimeoutIsRecordedExactlyOnce) {
+  client_.set_op_timeout(sim::Milliseconds(100));
+  client_.BeginOp(check::OpType::kWrite, "k", "mine");
+  const check::Operation op = RunToCompletion();
+  EXPECT_EQ(op.status, check::OpStatus::kTimeout);
+  EXPECT_EQ(op.completed, sim::Milliseconds(100));
+  // The late answer lands while the client is idle and records nothing.
+  simulator_.RunUntilIdle();
+  ASSERT_EQ(history_.size(), 1u);
+  EXPECT_EQ(history_.ops()[0], op);
+  EXPECT_EQ(client_.last_op(), op);
+}
+
+TEST_F(OpClientTest, AnsweredOpRecordsNoTimeout) {
+  client_.BeginOp(check::OpType::kWrite, "k", "mine");
+  EXPECT_EQ(RunToCompletion().status, check::OpStatus::kOk);
+  // The cancelled 800 ms timer must not record a second outcome.
+  simulator_.RunUntilIdle();
+  ASSERT_EQ(history_.size(), 1u);
+  EXPECT_EQ(history_.ops()[0].status, check::OpStatus::kOk);
+}
+
+TEST_F(OpClientTest, ReadsRecordTheReplyValueAndWritesKeepTheirOwn) {
+  client_.BeginOp(check::OpType::kRead, "k");
+  EXPECT_EQ(RunToCompletion().value, "v:k");
+  client_.BeginOp(check::OpType::kWrite, "k", "mine");
+  EXPECT_EQ(RunToCompletion().value, "mine");
+  client_.BeginOp(check::OpType::kDequeue, "q");
+  EXPECT_EQ(RunToCompletion().value, "v:q");
+  client_.BeginOp(check::OpType::kEnqueue, "q", "m1");
+  EXPECT_EQ(RunToCompletion().value, "m1");
+  ASSERT_EQ(history_.size(), 4u);
+  for (const check::Operation& op : history_.ops()) {
+    EXPECT_EQ(op.status, check::OpStatus::kOk);
+    EXPECT_EQ(op.client, 1);
+  }
 }
 
 }  // namespace
