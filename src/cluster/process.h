@@ -32,9 +32,9 @@ namespace cluster {
 
 // The kernel-level incarnation state Process owns. Subclasses keep their
 // own fields in their own state value; this covers what Process itself
-// owns. Restoring the epoch exactly matters: pending timers retained by
-// the simulator guard on `epoch_ == epoch`, so a rewound process must
-// present the epoch its timers were scheduled under.
+// owns. Restoring the epoch exactly matters: the pending timers a
+// simulator checkpoint copies guard on `epoch_ == epoch`, so a rewound
+// process must present the epoch its timers were scheduled under.
 struct ProcessKernel {
   uint64_t epoch_ = 0;
   bool crashed_ = true;  // not booted yet

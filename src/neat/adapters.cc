@@ -9,28 +9,11 @@
 #include "check/checkers.h"
 #include "check/linearizability.h"
 #include "neat/coverage.h"
+#include "neat/fnv.h"
 #include "neat/trace_report.h"
 #include "neat/trace_scan.h"
 
 namespace neat {
-namespace {
-
-// FNV-1a over a word sequence — the shared idiom for state digests.
-class StateHash {
- public:
-  void Mix(uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (word >> (byte * 8)) & 0xff;
-      hash_ *= 1099511628211ull;
-    }
-  }
-  uint64_t value() const { return hash_; }
-
- private:
-  uint64_t hash_ = 14695981039346656037ull;
-};
-
-}  // namespace
 
 bool LocksvcSystem::GetStatus() {
   const std::string resource = "__status_probe_" + std::to_string(cluster_.history().size());
@@ -41,35 +24,35 @@ bool LocksvcSystem::GetStatus() {
 }
 
 uint64_t PbkvSystem::StateDigest() const {
-  StateHash hash;
-  hash.Mix(static_cast<uint64_t>(cluster_.FindPrimary()));
+  Fnv1a hash;
+  hash.MixWord(static_cast<uint64_t>(cluster_.FindPrimary()));
   return hash.value();
 }
 
 uint64_t RaftKvSystem::StateDigest() const {
-  StateHash hash;
+  Fnv1a hash;
   for (const net::NodeId leader : cluster_.Leaders()) {
-    hash.Mix(static_cast<uint64_t>(leader));
+    hash.MixWord(static_cast<uint64_t>(leader));
   }
   return hash.value();
 }
 
 uint64_t LocksvcSystem::StateDigest() const {
-  StateHash hash;
+  Fnv1a hash;
   for (const net::NodeId id : cluster_.server_ids()) {
-    hash.Mix(static_cast<uint64_t>(id));
+    hash.MixWord(static_cast<uint64_t>(id));
     for (const net::NodeId member : cluster_.server(id).view()) {
-      hash.Mix(static_cast<uint64_t>(member));
+      hash.MixWord(static_cast<uint64_t>(member));
     }
   }
   return hash.value();
 }
 
 uint64_t MqueueSystem::StateDigest() const {
-  StateHash hash;
-  hash.Mix(static_cast<uint64_t>(cluster_.MasterPerRegistry()));
+  Fnv1a hash;
+  hash.MixWord(static_cast<uint64_t>(cluster_.MasterPerRegistry()));
   for (const net::NodeId master : cluster_.SelfBelievedMasters()) {
-    hash.Mix(static_cast<uint64_t>(master));
+    hash.MixWord(static_cast<uint64_t>(master));
   }
   return hash.value();
 }

@@ -7,9 +7,9 @@
 #include <limits>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <thread>
 
+#include "neat/fnv.h"
 #include "neat/mutate.h"
 
 namespace neat {
@@ -293,41 +293,25 @@ double CampaignResult::CasesPerSecond() const {
 }
 
 std::string CampaignResult::VerdictDigest() const {
-  uint64_t hash = 14695981039346656037ull;
-  const auto mix = [&hash](const std::string& text) {
-    for (const unsigned char byte : text) {
-      hash ^= byte;
-      hash *= 1099511628211ull;
-    }
-  };
+  Fnv1a fnv;
   for (const CaseResult& run : cases) {
-    mix(std::to_string(run.case_index));
-    mix(":");
-    mix(std::to_string(run.seed));
-    mix(run.found_failure ? ":F:" : ":.:");
-    mix(run.signature);
-    mix("\n");
+    fnv.Mix(std::to_string(run.case_index));
+    fnv.Mix(":");
+    fnv.Mix(std::to_string(run.seed));
+    fnv.Mix(run.found_failure ? ":F:" : ":.:");
+    fnv.Mix(run.signature);
+    fnv.Mix("\n");
   }
-  std::ostringstream os;
-  os << std::hex << hash;
-  return os.str();
+  return fnv.Hex();
 }
 
 std::string CampaignResult::CorpusDigest() const {
-  uint64_t hash = 14695981039346656037ull;
-  const auto mix = [&hash](const std::string& text) {
-    for (const unsigned char byte : text) {
-      hash ^= byte;
-      hash *= 1099511628211ull;
-    }
-  };
+  Fnv1a fnv;
   for (const TestCase& test_case : guided.corpus) {
-    mix(FormatTestCase(test_case));
-    mix("\n");
+    fnv.Mix(FormatTestCase(test_case));
+    fnv.Mix("\n");
   }
-  std::ostringstream os;
-  os << std::hex << hash;
-  return os.str();
+  return fnv.Hex();
 }
 
 CampaignResult RunCampaign(const std::vector<TestCase>& suite, const CaseExecutor& executor,

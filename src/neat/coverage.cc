@@ -1,8 +1,8 @@
 #include "neat/coverage.h"
 
 #include <cstdio>
-#include <sstream>
 
+#include "neat/fnv.h"
 #include "neat/trace_scan.h"
 
 namespace neat {
@@ -32,22 +32,14 @@ bool CoverageMap::Covers(const std::string& feature) const {
 }
 
 std::string CoverageMap::Digest() const {
-  uint64_t hash = 14695981039346656037ull;
-  const auto mix = [&hash](const std::string& text) {
-    for (const unsigned char byte : text) {
-      hash ^= byte;
-      hash *= 1099511628211ull;
-    }
-  };
+  Fnv1a fnv;
   for (const auto& [feature, count] : counters_) {
-    mix(feature);
-    mix("=");
-    mix(std::to_string(count));
-    mix("\n");
+    fnv.Mix(feature);
+    fnv.Mix("=");
+    fnv.Mix(std::to_string(count));
+    fnv.Mix("\n");
   }
-  std::ostringstream os;
-  os << std::hex << hash;
-  return os.str();
+  return fnv.Hex();
 }
 
 std::vector<std::string> TraceCoverage(const sim::TraceLog& trace) {

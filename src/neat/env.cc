@@ -1,5 +1,7 @@
 #include "neat/env.h"
 
+#include <cassert>
+
 namespace neat {
 
 TestEnv::TestEnv(const Options& options) : simulator_(options.seed) {
@@ -65,8 +67,9 @@ TestEnv::State TestEnv::Snapshot() const {
   state.rules = backend_->CaptureRules();
   state.next_partition_id = partitioner_->next_partition_id();
   state.history = history_.CaptureState();
+  state.kernels.reserve(processes_.size());
   for (const auto& [node, process] : processes_) {
-    state.kernels.emplace(node, process->CaptureKernel());
+    state.kernels.push_back(process->CaptureKernel());
   }
   return state;
 }
@@ -77,14 +80,15 @@ void TestEnv::Restore(const State& state) {
   backend_->RestoreRules(*state.rules);
   partitioner_->set_next_partition_id(state.next_partition_id);
   network_->RestoreState(state.network);
-  for (const auto& [node, kernel] : state.kernels) {
-    if (cluster::Process* process = FindProcess(node)) {
-      process->RestoreKernel(kernel);
-    }
+  assert(state.kernels.size() == processes_.size() &&
+         "the registered process set must match the snapshot's");
+  auto kernel = state.kernels.begin();
+  for (const auto& [node, process] : processes_) {
+    process->RestoreKernel(*kernel++);
   }
   history_.RestoreState(state.history);
-  // The simulator last: its checkpoint rewinds the clock and the retained
-  // event set that the restored processes' timers live in.
+  // The simulator last: its checkpoint rewinds the clock and restores the
+  // pending events that the restored processes' timers live in.
   simulator_.Restore(state.simulator);
 }
 

@@ -23,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "check/history.h"
 #include "cluster/op_client.h"
@@ -87,17 +88,19 @@ class TestEnv {
   // partition-handle counter, the operation history, and each registered
   // process's kernel incarnation. Captured at quiescent points (between
   // script steps, never mid-event) and restorable only onto this same env —
-  // retained event closures point at the processes registered here. The
-  // registered process set itself must be identical at capture and restore
-  // time. Each process's own state value is composed by its cluster
-  // (Cluster::CaptureState, beside this State), not by the env.
+  // the checkpoint's copies of the pending event closures point at the
+  // processes registered here. The registered process set itself must be
+  // identical at capture and restore time, which is what lets `kernels`
+  // be a flat vector in registration-map (node id) order. Each process's
+  // own state value is composed by its cluster (Cluster::CaptureState,
+  // beside this State), not by the env.
   struct State {
     sim::Simulator::Checkpoint simulator;
     net::Network::State network;
     std::unique_ptr<net::PartitionBackend::RulesSnapshot> rules;
     uint64_t next_partition_id = 1;
     check::History::State history;
-    std::map<net::NodeId, cluster::Process::KernelState> kernels;
+    std::vector<cluster::Process::KernelState> kernels;  // processes_ order
   };
   State Snapshot() const;
   void Restore(const State& state);
@@ -108,7 +111,7 @@ class TestEnv {
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<net::Partitioner> partitioner_;
   check::History history_;
-  // detlint: allow(snapshot-field): Restore reaches it via FindProcess; the registration set is identical at capture and restore by contract (see State doc above)
+  // detlint: allow(snapshot-field): not captured: Snapshot and Restore walk it alongside State::kernels; the registration set is identical at capture and restore by contract (see State doc above)
   std::map<net::NodeId, cluster::Process*> processes_;
 };
 

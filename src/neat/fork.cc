@@ -31,10 +31,6 @@ ForkingExecutor::Branch& ForkingExecutor::BranchFor(uint64_t seed) {
   branch.seed = seed;
   branch.runner = factory_(seed);
   ++stats_.fresh_runners;
-  // Retention must be on before any event the fork may rewind over is
-  // scheduled; enabling it here (before the root snapshot) also adopts
-  // the events still pending from the constructor's setup phase.
-  branch.runner->Env().simulator().SetEventRetention(true);
   std::unique_ptr<SystemState> root = branch.runner->Snapshot();
   assert(root != nullptr && "CaseRunner::Snapshot never returns null");
   ++stats_.snapshots_taken;
@@ -81,12 +77,6 @@ ExecutionResult ForkingExecutor::Run(const TestCase& test_case, uint64_t seed) {
       }
     }
   }
-  // No snapshot is ever taken after Finish starts, and its events (heal,
-  // settles, final reads — often thousands) are all scheduled past every
-  // cached checkpoint's next_seq, so retaining them only to purge them on
-  // the next Restore is pure overhead. Pause retention for the teardown;
-  // the next case's Restore resumes it.
-  branch.runner->Env().simulator().PauseEventRetention();
   return branch.runner->Finish(test_case);
 }
 

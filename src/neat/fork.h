@@ -24,8 +24,9 @@
 //
 // Snapshots are only taken at quiescent points — between test events, with
 // the simulator stopped — and only restored into the runner instance that
-// produced them (process closures capture `this` of that instance's
-// processes; the snapshot stores event ids, never callbacks).
+// produced them: the simulator checkpoint inside a snapshot holds copies of
+// the pending event closures, which capture `this` of that instance's
+// processes.
 
 #ifndef NEAT_FORK_H_
 #define NEAT_FORK_H_
@@ -45,11 +46,12 @@ namespace neat {
 // (environment plus every server/client process) and the runner's own
 // step state — taken at a quiescent point (no handler mid-flight; in
 // practice: between test events, while the simulator is not running).
-// Each runner derives its own state type; holders only ever pass it back
-// to Restore on the same runner. Snapshots are plain values: they must not
-// capture live closures or pointers into the heap of the system that
-// produced them (the simulator checkpoint stores event ids, not callbacks
-// — see sim::Simulator::Checkpoint).
+// Each runner derives its own state type. A snapshot is a value, but not a
+// free-standing one: its simulator checkpoint copies the pending event
+// closures, and those point at the processes of the runner that produced
+// it (sim::Simulator::Checkpoint). Restored into any other runner, they
+// would run against that runner's processes, so holders only ever pass a
+// snapshot back to Restore on the runner that took it.
 struct SystemState {
   virtual ~SystemState() = default;
 };
@@ -66,8 +68,8 @@ class CaseRunner {
  public:
   virtual ~CaseRunner() = default;
 
-  // The environment the system under test runs in (the fork executor
-  // enables simulator event retention through it before snapshotting).
+  // The environment the system under test runs in: its simulator, network
+  // and history.
   virtual TestEnv& Env() = 0;
 
   // The live system under test, for post-Finish status probes (the
@@ -85,10 +87,9 @@ class CaseRunner {
   // Whole-run state at a quiescent point: the cluster's state value plus
   // the runner's own step state (installed partition, election-sleep
   // flags, value counters, the coverage observer). Never null: every
-  // runner can fork. Const, so capturing cannot perturb the run. Requires
-  // the environment simulator to have event retention enabled before the
-  // events being rewound over were scheduled
-  // (sim::Simulator::SetEventRetention).
+  // runner can fork. Const, so capturing cannot perturb the run. The
+  // snapshot holds copies of closures bound to this runner's processes, so
+  // it restores only into this runner.
   virtual std::unique_ptr<SystemState> Snapshot() const = 0;
 
   // Rewinds to a state previously captured by Snapshot() on this runner.

@@ -1,44 +1,27 @@
 #include "scenario/executor.h"
 
 #include <algorithm>
-#include <iomanip>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "neat/execution.h"
+#include "neat/fnv.h"
 
 namespace scenario {
 namespace {
 
-// FNV-1a over a byte stream; strings are terminated with a 0 byte so that
-// adjacent fields cannot alias ("ab"+"c" vs "a"+"bc").
-class Fnv {
- public:
-  void Mix(const std::string& text) {
-    for (const char c : text) {
-      MixByte(static_cast<uint8_t>(c));
-    }
-    MixByte(0);
-  }
-  void MixWord(uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      MixByte(static_cast<uint8_t>((word >> (byte * 8)) & 0xff));
-    }
-  }
-  std::string Hex() const {
-    std::ostringstream out;
-    out << std::hex << std::setw(16) << std::setfill('0') << hash_;
-    return out.str();
-  }
+// The run digests' framing over FNV-1a: each string ends in a 0 byte so
+// that adjacent fields cannot alias ("ab"+"c" vs "a"+"bc"), and the hex is
+// zero-padded to 16 digits.
+void MixTerminated(neat::Fnv1a& fnv, const std::string& text) {
+  fnv.Mix(text);
+  fnv.MixByte(0);
+}
 
- private:
-  void MixByte(uint8_t byte) {
-    hash_ ^= byte;
-    hash_ *= 1099511628211ull;
-  }
-  uint64_t hash_ = 14695981039346656037ull;
-};
+std::string PaddedHex(const neat::Fnv1a& fnv) {
+  const std::string hex = fnv.Hex();
+  return std::string(16 - hex.size(), '0') + hex;
+}
 
 std::string JoinImpacts(const std::vector<std::string>& impacts) {
   if (impacts.empty()) {
@@ -327,54 +310,54 @@ std::vector<RunOutcome> RunScenario(const Scenario& scenario) {
 }
 
 std::string ResultDigest(const neat::ExecutionResult& result) {
-  Fnv fnv;
+  neat::Fnv1a fnv;
   fnv.MixWord(result.found_failure ? 1 : 0);
   fnv.MixWord(result.violations.size());
   for (const check::Violation& violation : result.violations) {
-    fnv.Mix(violation.impact);
-    fnv.Mix(violation.description);
+    MixTerminated(fnv, violation.impact);
+    MixTerminated(fnv, violation.description);
     for (const uint64_t op_id : violation.op_ids) {
       fnv.MixWord(op_id);
     }
   }
-  fnv.Mix(result.trace);
+  MixTerminated(fnv, result.trace);
   for (const std::string& feature : result.coverage) {
-    fnv.Mix(feature);
+    MixTerminated(fnv, feature);
   }
   const neat::TraceReport& report = result.trace_report;
   fnv.MixWord(report.total_records);
   for (const auto& [event, count] : report.event_counts) {
-    fnv.Mix(event);
+    MixTerminated(fnv, event);
     fnv.MixWord(count);
   }
   for (const auto& [link, count] : report.drops_per_link) {
-    fnv.Mix(link);
+    MixTerminated(fnv, link);
     fnv.MixWord(count);
   }
   for (const sim::TraceRecord& record : report.leadership_events) {
     fnv.MixWord(static_cast<uint64_t>(record.when));
-    fnv.Mix(record.component);
-    fnv.Mix(record.event);
-    fnv.Mix(record.detail);
+    MixTerminated(fnv, record.component);
+    MixTerminated(fnv, record.event);
+    MixTerminated(fnv, record.detail);
   }
-  return fnv.Hex();
+  return PaddedHex(fnv);
 }
 
 std::string CampaignDigest(const neat::CampaignResult& result) {
-  Fnv fnv;
+  neat::Fnv1a fnv;
   fnv.MixWord(result.cases_run);
   fnv.MixWord(result.failures);
   for (const neat::CaseResult& run : result.cases) {
     fnv.MixWord(run.case_index);
     fnv.MixWord(run.seed);
     fnv.MixWord(run.found_failure ? 1 : 0);
-    fnv.Mix(run.signature);
-    fnv.Mix(run.trace);
+    MixTerminated(fnv, run.signature);
+    MixTerminated(fnv, run.trace);
     for (const std::string& feature : run.coverage) {
-      fnv.Mix(feature);
+      MixTerminated(fnv, feature);
     }
   }
-  return fnv.Hex();
+  return PaddedHex(fnv);
 }
 
 }  // namespace scenario

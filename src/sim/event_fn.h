@@ -1,7 +1,7 @@
 // EventFn: the simulator's type-erased `void()` callable.
 //
-// Every simulated event is a closure, and the kernel copies each one when
-// event retention is on (the pristine copy Restore replays). std::function
+// Every simulated event is a closure, and a kernel checkpoint copies each
+// pending one (the pristine copy Restore replays). std::function
 // heap-allocates any closure larger than two pointers, which put an
 // allocation on every event. EventFn instead stores closures of up to
 // kInlineSize bytes in place, sized for the network-delivery closure and
@@ -12,7 +12,7 @@
 //
 // Unlike std::function, EventFn is invoked non-const, so a `mutable`
 // lambda may consume its captures when it runs; copies are independent
-// objects, so a retained copy stays pristine.
+// objects, so a checkpoint's copy stays pristine.
 
 #ifndef SIM_EVENT_FN_H_
 #define SIM_EVENT_FN_H_

@@ -17,14 +17,6 @@ EventId Simulator::ScheduleAt(Time when, EventFn fn) {
   assert(when >= now_ && "cannot schedule in the past");
   const EventId id = next_seq_;
   ++next_seq_;
-  if (retain_events_ && !retention_paused_) {
-    // Copy before the slot takes ownership: the retained closure must stay
-    // pristine even after the slot's copy runs (mutable lambdas may consume
-    // their captures when invoked).
-    assert(retained_.size() == id && "retained_ must be indexed by event id");
-    retained_.push_back(RetainedEvent{when, fn});
-    ++retained_count_;
-  }
   Push(when, id, std::move(fn));
   return id;
 }
@@ -123,36 +115,6 @@ uint64_t Simulator::RunUntil(Time deadline) {
 
 uint64_t Simulator::RunFor(Duration delta) { return RunUntil(now_ + delta); }
 
-void Simulator::SetEventRetention(bool retain) {
-  if (retain && (!retain_events_ || retention_paused_)) {
-    // Ids issued while retention was off or paused get empty entries, so
-    // the vector stays indexed by id. Then adopt the events still pending:
-    // slot closures are never invoked in place (RunOne moves an event out
-    // before running it), so copying them now yields the same pristine
-    // closures a schedule-time copy would. Entries retained before a pause
-    // keep their original schedule-time copies.
-    retained_.resize(next_seq_);
-    for (const Key& key : heap_) {
-      RetainedEvent& entry = retained_[key.seq];
-      if (!key.cancelled && !entry.fn) {
-        entry = RetainedEvent{key.when, slots_[key.slot]};
-        ++retained_count_;
-      }
-    }
-  }
-  if (!retain) {
-    retained_.clear();
-    retained_count_ = 0;
-  }
-  retain_events_ = retain;
-  retention_paused_ = false;
-}
-
-void Simulator::PauseEventRetention() {
-  assert(retain_events_ && "pausing retention requires it to be on");
-  retention_paused_ = true;
-}
-
 Simulator::Checkpoint Simulator::Snapshot() const {
   Checkpoint checkpoint;
   checkpoint.now = now_;
@@ -160,45 +122,30 @@ Simulator::Checkpoint Simulator::Snapshot() const {
   checkpoint.events_executed = events_executed_;
   checkpoint.rng = rng_;
   checkpoint.trace_size = trace_.size();
-  checkpoint.live.reserve(pending_events());
+  checkpoint.pending.reserve(pending_events());
   for (const Key& key : heap_) {
     if (!key.cancelled) {
-      checkpoint.live.push_back(key.seq);
+      checkpoint.pending.push_back({key.when, key.seq, slots_[key.slot]});
     }
   }
-  std::sort(checkpoint.live.begin(), checkpoint.live.end());
   return checkpoint;
 }
 
 void Simulator::Restore(const Checkpoint& checkpoint) {
-  assert(retain_events_ && "Restore requires event retention");
   assert(checkpoint.next_seq <= next_seq_ &&
          "checkpoint must come from this simulator's past");
-  // Purge the abandoned branch: every retained event scheduled after the
-  // checkpoint. The replayed branch re-issues those ids deterministically,
-  // which also bounds the retention vector at O(one branch).
-  assert(checkpoint.next_seq <= retained_.size() && "checkpoint taken while retention was paused");
-  retained_count_ -= static_cast<size_t>(
-      std::count_if(retained_.begin() + static_cast<ptrdiff_t>(checkpoint.next_seq),
-                    retained_.end(), [](const RetainedEvent& entry) { return bool(entry.fn); }));
-  retained_.resize(checkpoint.next_seq);
   heap_.clear();
   slots_.clear();
   free_slots_.clear();
   heap_tombstones_ = 0;
-  for (const EventId id : checkpoint.live) {
-    assert(id < retained_.size() && retained_[id].fn && "live checkpoint event was not retained");
-    const RetainedEvent& entry = retained_[id];
-    Push(entry.when, id, entry.fn);
+  for (const Checkpoint::Event& event : checkpoint.pending) {
+    Push(event.when, event.seq, event.fn);
   }
   now_ = checkpoint.now;
   next_seq_ = checkpoint.next_seq;
   events_executed_ = checkpoint.events_executed;
   rng_ = checkpoint.rng;
   trace_.Truncate(checkpoint.trace_size);
-  // Any pause-era pending events were just discarded with the heap rebuild,
-  // so the restored branch is fully retained again.
-  retention_paused_ = false;
 }
 
 bool Simulator::RunUntilPredicate(const std::function<bool()>& pred, Time deadline) {

@@ -22,14 +22,12 @@
 // ties cannot reorder however the heap is rebuilt.
 //
 // The kernel also supports checkpoint/restore (Snapshot/Restore) for the
-// NEAT fork executor. With event retention enabled, a pristine copy of each
-// scheduled closure is kept in a vector indexed by event id (ids are dense
-// and monotonic), so the full kernel state — clock, sequence counter, RNG,
-// trace length, and the pending event set — can be captured as a value and
-// reinstated later on the *same* simulator instance (closures capture
-// pointers into the attached component graph, so a checkpoint is only
-// meaningful where those components still live and are restored alongside
-// it).
+// NEAT fork executor. A checkpoint is a value: the clock, sequence counter,
+// RNG, trace length, and a copy of every pending event (time, sequence,
+// closure). It is reinstated only on the *same* simulator instance:
+// closures capture pointers into the attached component graph, so a
+// checkpoint is only meaningful where those components still live and are
+// restored alongside it.
 
 #ifndef SIM_SIMULATOR_H_
 #define SIM_SIMULATOR_H_
@@ -95,43 +93,31 @@ class Simulator {
   // compaction bound (heap size stays O(live) under cancel-heavy load).
   size_t heap_size() const { return heap_.size(); }
 
+  // Kept for perfbench's sim.retained_events_peak row: the only closures
+  // the kernel holds are its pending ones.
+  size_t retained_events() const { return pending_events(); }
+
   // --- checkpoint / restore ---
   //
-  // A Checkpoint is a value: plain scalars, an Rng copy, and the sorted ids
-  // of the events that were pending at capture time. It deliberately holds
-  // no closure — the closures themselves are recovered from the retention
-  // vector on Restore, so a checkpoint can be copied, stored in an LRU, or
-  // compared without touching captured state.
+  // A Checkpoint is a value: plain scalars, an Rng copy, and a copy of each
+  // pending event. Slot closures are never invoked in place (RunOne moves
+  // an event out before running it), so a copy taken here is as pristine
+  // as one taken at schedule time. Restore copies the events back and
+  // leaves the checkpoint untouched, so one checkpoint restores any number
+  // of times.
   struct Checkpoint {
+    struct Event {
+      Time when = kTimeZero;
+      uint64_t seq = 0;
+      EventFn fn;
+    };
     Time now = kTimeZero;
     uint64_t next_seq = 1;
     uint64_t events_executed = 0;
     Rng rng{1};
     size_t trace_size = 0;
-    std::vector<EventId> live;  // sorted ascending; tombstones excluded
+    std::vector<Event> pending;  // heap order; tombstones excluded
   };
-
-  // Event retention keeps a pristine schedule-time copy of every event's
-  // closure (slot closures are never invoked in place, so copies taken when
-  // retention is switched on are equally pristine). Required for Restore;
-  // Snapshot records only ids and works either way.
-  void SetEventRetention(bool retain);
-  bool event_retention() const { return retain_events_; }
-  // Stops retaining newly scheduled events WITHOUT discarding the retained
-  // ones — unlike SetEventRetention(false), which tears retention down. Use
-  // when a stretch of execution will never be snapshotted (e.g. a case's
-  // teardown settle): its events are scheduled past every earlier
-  // checkpoint's next_seq, so Restore would discard their retained copies
-  // unseen anyway. No Snapshot may be taken while paused (its pending
-  // events would not be restorable). Resumed by Restore, or by
-  // SetEventRetention(true), which re-adopts any still-pending unretained
-  // events.
-  void PauseEventRetention();
-  bool event_retention_paused() const { return retention_paused_; }
-  // Retained closures currently held (pending, run, and cancelled ones
-  // alike until a Restore purges the dead branch) — exposed for memory
-  // tests.
-  size_t retained_events() const { return retained_count_; }
 
   // Captures the kernel state. Quiescent-point rule: callers snapshot
   // between script steps (no event mid-execution); the capture itself is
@@ -139,12 +125,10 @@ class Simulator {
   Checkpoint Snapshot() const;
 
   // Reinstates a checkpoint taken earlier on this same instance: rewinds
-  // clock/seq/RNG/trace, rebuilds the heap from retained copies of the
-  // checkpoint's pending events, and truncates the retained events
-  // scheduled after the checkpoint (the abandoned branch re-issues those
-  // ids deterministically). Requires event retention to have been on since
-  // before the checkpoint; clears any retention pause (the restored branch
-  // is snapshotable again).
+  // clock/seq/RNG/trace and rebuilds the heap from copies of the
+  // checkpoint's pending events. Sequence numbers are unique, so the
+  // rebuilt heap pops them in the captured order, and the restored branch
+  // re-issues the abandoned branch's ids deterministically.
   void Restore(const Checkpoint& checkpoint);
 
  private:
@@ -161,14 +145,6 @@ class Simulator {
       return a.when != b.when ? a.when > b.when : a.seq > b.seq;
     }
   };
-  // One entry per event id. An empty fn marks an id that was never
-  // retained: scheduled before retention was switched on, or while it was
-  // paused.
-  struct RetainedEvent {
-    Time when = kTimeZero;
-    EventFn fn;
-  };
-
   // Stores `fn` in a free slot and pushes its key.
   void Push(Time when, uint64_t seq, EventFn fn);
   // Pops cancelled entries off the top until the heap is empty or live.
@@ -185,26 +161,14 @@ class Simulator {
   Time now_ = kTimeZero;
   uint64_t next_seq_ = 1;
   uint64_t events_executed_ = 0;
-  // detlint: allow(snapshot-field): Snapshot records the untombstoned keys' ids, and Restore rebuilds the heap from retained copies of those ids
   std::vector<Key> heap_;
   // Tombstoned entries still sitting in heap_; drives compaction.
-  // detlint: allow(snapshot-field): bookkeeping for the heap it is rebuilt with; reset by Restore
+  // detlint: allow(snapshot-field): bookkeeping for the heap; Restore rebuilds the heap without tombstones and resets it
   size_t heap_tombstones_ = 0;
   // Closures of pending events, indexed by Key::slot; empty when free.
-  // detlint: allow(snapshot-field): storage behind heap_'s keys, cleared and refilled from retained_ by Restore; a snapshot could not copy its closures
   std::vector<EventFn> slots_;
   // detlint: allow(snapshot-field): recycling list for slots_, rebuilt with it by Restore; which slot holds an event never affects order
   std::vector<uint32_t> free_slots_;
-  // detlint: allow(snapshot-field): campaign-mode configuration, not per-run state; constant across a fork tree
-  bool retain_events_ = false;
-  // detlint: allow(snapshot-field): transient guard around Restore itself; never set at a quiescent capture point
-  bool retention_paused_ = false;
-  // Pristine copies for Restore, indexed by event id (entry 0 is unused).
-  // Ids are dense and monotonic, so purging a dead branch is a truncate.
-  // detlint: allow(snapshot-field): the durable event log the checkpoint indexes into; Restore truncates and replays it, a snapshot could not copy its closures
-  std::vector<RetainedEvent> retained_;
-  // detlint: allow(snapshot-field): the number of non-empty retained_ entries, kept in step by Restore's truncate
-  size_t retained_count_ = 0;
   Rng rng_;
   TraceLog trace_;
 };

@@ -1186,9 +1186,6 @@ template <class System>
 void ExpectRoundTrip(const RunnerFactory& factory, const TestCase& mutate) {
   std::unique_ptr<CaseRunner> runner = factory(1);
   ASSERT_NE(runner->System(), nullptr);
-  // Same sequence as the fork executor: retention on before the root
-  // snapshot, paused for the teardown, resumed by the next Restore.
-  runner->Env().simulator().SetEventRetention(true);
   const std::unique_ptr<SystemState> root = runner->Snapshot();
   ASSERT_NE(root, nullptr);
   const uint64_t captured_digest = runner->System()->StateDigest();
@@ -1197,7 +1194,6 @@ void ExpectRoundTrip(const RunnerFactory& factory, const TestCase& mutate) {
   for (const TestEvent& event : mutate) {
     runner->ApplyEvent(event);
   }
-  runner->Env().simulator().PauseEventRetention();
   (void)runner->Finish(mutate);
 
   runner->Restore(*root);
@@ -1207,7 +1203,6 @@ void ExpectRoundTrip(const RunnerFactory& factory, const TestCase& mutate) {
   for (const TestEvent& event : mutate) {
     runner->ApplyEvent(event);
   }
-  runner->Env().simulator().PauseEventRetention();
   const ExecutionResult rewound = runner->Finish(mutate);
   ExpectSameExecution(rewound, ReplayExecutor(factory)(mutate, 1));
 }
@@ -1267,12 +1262,10 @@ template <class System>
 void ExpectRestoredStatesEqualReplay(const RunnerFactory& factory, const TestCase& sibling,
                                      const TestCase& test_case) {
   std::unique_ptr<CaseRunner> forked = factory(1);
-  forked->Env().simulator().SetEventRetention(true);
   const std::unique_ptr<SystemState> root = forked->Snapshot();
   for (const TestEvent& event : sibling) {
     forked->ApplyEvent(event);
   }
-  forked->Env().simulator().PauseEventRetention();
   (void)forked->Finish(sibling);
   forked->Restore(*root);
 

@@ -358,23 +358,32 @@ TEST(EventFnTest, ConstructionAndDestructionStayBalanced) {
   }
   EXPECT_EQ(live, 0);
 
-  // The same balance through the kernel: retained copies, cancelled and
-  // run events, a Restore that truncates and refills, and teardown.
+  // The same balance through the kernel: a checkpoint's copies of the
+  // pending closures stay live while the checkpoint exists and are
+  // released with it; cancelled and run events, the closures a Restore
+  // replaces, and teardown release theirs.
   {
     Tracked tracked(&live);
     Simulator s;
-    s.SetEventRetention(true);
-    const Simulator::Checkpoint start = s.Snapshot();
-    for (int branch = 0; branch < 3; ++branch) {
-      std::vector<EventId> ids;
-      for (int i = 0; i < 8; ++i) {
-        ids.push_back(s.Schedule(Milliseconds(i + 1), [tracked]() {}));
-        s.Schedule(Milliseconds(i + 1), [tracked, pad = std::array<char, 96>{}]() { (void)pad; });
+    s.Schedule(Milliseconds(2), [tracked]() {});
+    s.Schedule(Milliseconds(3), [tracked, pad = std::array<char, 96>{}]() { (void)pad; });
+    EXPECT_EQ(live, 3);
+    {
+      const Simulator::Checkpoint start = s.Snapshot();
+      EXPECT_EQ(live, 5);
+      for (int branch = 0; branch < 3; ++branch) {
+        std::vector<EventId> ids;
+        for (int i = 0; i < 8; ++i) {
+          ids.push_back(s.Schedule(Milliseconds(i + 1), [tracked]() {}));
+          s.Schedule(Milliseconds(i + 1), [tracked, pad = std::array<char, 96>{}]() { (void)pad; });
+        }
+        s.Cancel(ids[2]);
+        s.RunFor(Milliseconds(4));
+        s.Restore(start);
+        EXPECT_EQ(live, 5);
       }
-      s.Cancel(ids[2]);
-      s.RunFor(Milliseconds(4));
-      s.Restore(start);
     }
+    EXPECT_EQ(live, 3);
     s.Schedule(Milliseconds(1), [tracked]() {});
   }
   EXPECT_EQ(live, 0);
@@ -385,10 +394,10 @@ struct AllocationProbe final : net::MessageOf<AllocationProbe> {
 };
 
 // Once the kernel's vectors have grown to the workload's high-water mark,
-// scheduling and running an event allocates nothing — with and without
-// retention — for closures shaped like the network-delivery closure (a
-// pointer plus an Envelope) and the Process::Every tick closure (a pointer,
-// epoch, period and std::function).
+// scheduling and running an event allocates nothing, and neither does
+// restoring a checkpoint of them, for closures shaped like the
+// network-delivery closure (a pointer plus an Envelope) and the
+// Process::Every tick closure (a pointer, epoch, period and std::function).
 TEST(SimulatorAllocation, DeliveryAndTimerSizedEventsAllocateNothingAfterWarmUp) {
   Simulator s;
   s.Trace().set_enabled(false);
@@ -423,19 +432,20 @@ TEST(SimulatorAllocation, DeliveryAndTimerSizedEventsAllocateNothingAfterWarmUp)
   uint64_t before = g_allocations.load();
   schedule_batch();
   s.RunUntilIdle();
-  EXPECT_EQ(g_allocations.load() - before, 0u) << "without retention";
+  EXPECT_EQ(g_allocations.load() - before, 0u) << "schedule and run";
 
-  s.SetEventRetention(true);
-  const Simulator::Checkpoint start = s.Snapshot();
-  schedule_batch();  // warm-up: grows the retention vector
-  s.RunUntilIdle();
-  s.Restore(start);
-  before = g_allocations.load();
+  // A checkpoint of a full pending batch: Restore copies every closure
+  // back into the slots.
   schedule_batch();
+  const Simulator::Checkpoint start = s.Snapshot();
   s.RunUntilIdle();
+  s.Restore(start);  // warm-up
+  s.RunUntilIdle();
+  before = g_allocations.load();
   s.Restore(start);
-  EXPECT_EQ(g_allocations.load() - before, 0u) << "with retention and Restore";
-  EXPECT_EQ(ran, 4u * 2u * 5000u);
+  s.RunUntilIdle();
+  EXPECT_EQ(g_allocations.load() - before, 0u) << "Restore and run";
+  EXPECT_EQ(ran, 5u * 2u * 5000u);
 }
 
 // Regression: NextBelow(0) used to compute `(0 - 0) % 0` — an integer
@@ -552,7 +562,6 @@ TEST(SimulatorTest, RunUntilPredicateAlreadyTrueExecutesNoEvents) {
 
 TEST(SimulatorSnapshot, RestoreReplaysTheBranchIdentically) {
   Simulator s;
-  s.SetEventRetention(true);
   std::vector<std::pair<Time, uint64_t>> run_log;
   // A self-rescheduling chain that consumes randomness, so any divergence
   // in clock, order, or RNG state after a restore shows up in the log.
@@ -584,7 +593,6 @@ TEST(SimulatorSnapshot, RestoreReplaysTheBranchIdentically) {
 
 TEST(SimulatorSnapshot, RestoreTruncatesTheTrace) {
   Simulator s;
-  s.SetEventRetention(true);
   s.Trace().Append(s.Now(), "test", "before");
   const Simulator::Checkpoint checkpoint = s.Snapshot();
   s.Trace().Append(s.Now(), "test", "after");
@@ -593,83 +601,45 @@ TEST(SimulatorSnapshot, RestoreTruncatesTheTrace) {
   EXPECT_EQ(s.Trace().size(), 1u);
 }
 
-// Repeated restore + re-run cycles must not accumulate retained closures:
-// Restore purges the abandoned branch (ids at or above the checkpoint's
-// next sequence number), and the replayed branch re-issues the same ids.
-TEST(SimulatorSnapshot, RepeatedRestoreBoundsRetainedEvents) {
+// EventFn is invoked non-const, so a closure may consume its captures when
+// it runs. A checkpoint's copy must stay pristine through any number of
+// restores: this fails if the checkpoint shared the closure that ran, or
+// if Restore moved out of the checkpoint instead of copying.
+TEST(SimulatorSnapshot, RestoreTwiceReplaysAClosureThatConsumesItsCapture) {
   Simulator s;
-  s.SetEventRetention(true);
-  s.Schedule(Seconds(5), []() {});  // stays pending across the branches
+  const std::string text = "a capture longer than the small-string buffer";
+  std::vector<std::string> log;
+  s.Schedule(Milliseconds(1), [&log, text]() mutable { log.push_back(std::move(text)); });
   const Simulator::Checkpoint checkpoint = s.Snapshot();
-  size_t retained_after_first_branch = 0;
+  s.RunUntilIdle();
+  for (int restore = 0; restore < 2; ++restore) {
+    s.Restore(checkpoint);
+    s.RunUntilIdle();
+  }
+  EXPECT_EQ(log, std::vector<std::string>(3, text));
+}
+
+// Each of twenty branches from one checkpoint starts from exactly the
+// captured pending set, with no tombstone and nothing of the abandoned
+// branch, and re-issues the abandoned branch's event ids in order.
+TEST(SimulatorSnapshot, EveryRestoreRebuildsThePendingSetAndTheSequence) {
+  Simulator s;
+  s.Schedule(Seconds(5), []() {});  // stays pending across the branches
+  const EventId cancelled = s.Schedule(Seconds(6), []() {});
+  s.Schedule(Seconds(7), []() {});
+  s.Cancel(cancelled);  // a tombstone the checkpoint leaves out
+  const Simulator::Checkpoint checkpoint = s.Snapshot();
+  ASSERT_EQ(checkpoint.pending.size(), 2u);
   for (int branch = 0; branch < 20; ++branch) {
+    s.Restore(checkpoint);
+    EXPECT_EQ(s.heap_size(), checkpoint.pending.size());
+    EXPECT_EQ(s.pending_events(), checkpoint.pending.size());
+    EXPECT_EQ(s.Schedule(Milliseconds(1), []() {}), checkpoint.next_seq);
     for (int i = 0; i < 10; ++i) {
       s.Schedule(Milliseconds(i + 1), []() {});
     }
     s.RunFor(Milliseconds(20));
-    if (branch == 0) {
-      retained_after_first_branch = s.retained_events();
-    } else {
-      EXPECT_EQ(s.retained_events(), retained_after_first_branch);
-    }
-    s.Restore(checkpoint);
   }
-  EXPECT_EQ(s.pending_events(), 1u);
-}
-
-TEST(SimulatorSnapshot, RetentionAdoptsAlreadyPendingEvents) {
-  Simulator s;
-  int ran = 0;
-  s.Schedule(Milliseconds(1), [&]() { ++ran; });  // scheduled pre-retention
-  s.SetEventRetention(true);
-  EXPECT_EQ(s.retained_events(), 1u);
-  const Simulator::Checkpoint checkpoint = s.Snapshot();
-  s.RunUntilIdle();
-  EXPECT_EQ(ran, 1);
-  s.Restore(checkpoint);
-  s.RunUntilIdle();
-  EXPECT_EQ(ran, 2);  // the adopted copy replays like a schedule-time one
-}
-
-// Retention paused for a stretch, then resumed by SetEventRetention(true)
-// rather than by a Restore: the events scheduled during the pause are
-// adopted from the pending set, so a checkpoint taken after the resume
-// replays them; a Restore to a checkpoint from before the pause truncates
-// the whole gap away.
-TEST(SimulatorSnapshot, RestoreAcrossAPausedRetentionGap) {
-  Simulator s;
-  s.SetEventRetention(true);
-  std::vector<int> log;
-  s.Schedule(Milliseconds(1), [&log]() { log.push_back(1); });
-  const Simulator::Checkpoint before_pause = s.Snapshot();
-  s.PauseEventRetention();
-  s.Schedule(Milliseconds(2), [&log]() { log.push_back(2); });
-  s.Schedule(Milliseconds(3), [&log]() { log.push_back(3); });
-  EXPECT_EQ(s.retained_events(), 1u);  // the pause-era events are not copied
-  s.SetEventRetention(true);
-  EXPECT_FALSE(s.event_retention_paused());
-  EXPECT_EQ(s.retained_events(), 3u);  // ...until the resume adopts them
-  s.Schedule(Milliseconds(4), [&log]() { log.push_back(4); });
-  EXPECT_EQ(s.retained_events(), 4u);
-  s.RunFor(Milliseconds(1));
-  const Simulator::Checkpoint after_resume = s.Snapshot();
-  EXPECT_EQ(after_resume.live, (std::vector<EventId>{2, 3, 4}));
-  s.RunUntilIdle();
-  EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4}));
-
-  log.resize(1);
-  s.Restore(after_resume);
-  s.RunUntilIdle();
-  EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4}));
-
-  log.clear();
-  s.Restore(before_pause);
-  EXPECT_EQ(s.retained_events(), 1u);
-  EXPECT_EQ(s.pending_events(), 1u);
-  s.RunUntilIdle();
-  EXPECT_EQ(log, (std::vector<int>{1}));
-  // The replayed branch re-issues the truncated ids in order.
-  EXPECT_EQ(s.Schedule(Milliseconds(1), []() {}), 2u);
 }
 
 TEST(TraceTest, FilterByComponentPrefix) {
